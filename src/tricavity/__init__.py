@@ -26,7 +26,6 @@ from .model import (
 from .sacs import SacsPoint
 from .surface import (
     CriticalPoint,
-    MinimizeStrategy,
     ObservableReport,
     boundary_coupling,
     coherent_expectations,
@@ -50,7 +49,6 @@ __all__ = [
     "CutoffNotConverged",
     "DegenerateState",
     "IndeterminateQ",
-    "MinimizeStrategy",
     "ModelParams",
     "NoTransitionFound",
     "NonConvergence",

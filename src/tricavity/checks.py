@@ -221,13 +221,18 @@ def check_oracle_equivalence(rng: np.random.Generator, level: CheckLevel) -> Che
         n_atoms = sp.n_atoms
         space = fock.TruncatedSpace(n_atoms, fock.suggested_nu_max(point.alpha))
         vec = fock.build_sacs_vector(point, sp.branch, sp.config, space)
+        # Every A_ij the comparisons below use, built once per point.
+        ops = {(k, k): fock.transition(space, k, k) for k in (1, 2, 3)}
+        for i, j in sp.config.allowed_pairs:
+            ops[i, j] = fock.transition(space, i, j)
+            ops[j, i] = fock.transition(space, j, i)
 
         kr = sacs.kernel(point, point, sp.branch, sp.config, n_atoms)
         worst = max(worst, _rel_dev(vec.norm_squared(), kr.real))
 
         one = sacs.expect_one_body(sp)
         for i, closed in zip((1, 2, 3), (one.a11, one.a22, one.a33)):
-            direct = vec.expectation(fock.transition(space, i, i))
+            direct = vec.expectation(ops[i, i])
             worst = max(worst, _rel_dev(closed, direct.real))
         nop = fock.photon_number(space)
         worst = max(worst, _rel_dev(one.n_photons, vec.expectation(nop).real))
@@ -235,7 +240,7 @@ def check_oracle_equivalence(rng: np.random.Generator, level: CheckLevel) -> Che
         _, n_sq = sacs.expect_photon_moments(sp)
         worst = max(worst, _rel_dev(n_sq, vec.expectation(nop @ nop).real))
         for i, closed in zip((1, 2, 3), sacs.expect_population_squares(sp)):
-            op = fock.transition(space, i, i)
+            op = ops[i, i]
             worst = max(worst, _rel_dev(closed, vec.expectation(op @ op).real))
             cross = sacs.expect_photon_population_product(sp, i)
             worst = max(worst, _rel_dev(cross, vec.expectation(nop @ op).real))
@@ -249,16 +254,16 @@ def check_oracle_equivalence(rng: np.random.Generator, level: CheckLevel) -> Che
         two = sacs.expect_two_body(sp, transitions=pairs, products=prods)
         ann = fock.annihilation(space)
         for (i, j), closed in two.transitions.items():
-            op = fock.transition(space, i, j)
+            op = ops[i, j]
             worst = max(worst, _rel_dev(closed, vec.expectation(op)))
         for tup, closed in two.products.items():
-            op = fock.transition(space, *tup[:2]) @ fock.transition(space, *tup[2:])
+            op = ops[tup[:2]] @ ops[tup[2:]]
             worst = max(worst, _rel_dev(closed, vec.expectation(op)))
 
         inter = sacs.expect_interaction(sp)
         for (i, j), pair in inter.items():
-            a_ij = fock.transition(space, i, j)
-            a_ji = fock.transition(space, j, i)
+            a_ij = ops[i, j]
+            a_ji = ops[j, i]
             direct_mixed = vec.expectation(a_ij @ ann)
             worst = max(worst, _rel_dev(pair.a_ij_a, direct_mixed))
             dipole_op = (a_ij + a_ji) @ (ann + ann.conjugate().transpose())

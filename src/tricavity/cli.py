@@ -410,7 +410,9 @@ def cmd_phase_boundary(args, parser) -> int:
         probe.config is AtomicConfiguration.V
         and probe.omega2 == probe.omega3
     ):
-        analytic = vconfig.mu_critical(probe.omega, probe.omega3, rwa=probe.rwa)
+        analytic = vconfig.mu_critical(
+            probe.omega, probe.omega3 - probe.omega1, rwa=probe.rwa
+        )
     metadata = _base_metadata(args, "phase-boundary")
     metadata.update(
         {

@@ -106,8 +106,19 @@ def field_annihilation(space: TruncatedSpace) -> sparse.csr_matrix:
     return sparse.diags(diag, offsets=1).tocsr()
 
 
-def _lift_atomic(space: TruncatedSpace, op: sparse.spmatrix) -> sparse.csr_matrix:
-    return sparse.kron(sparse.identity(space.nu_max + 1), op, format="csr")
+def _lift_atomic(space: TruncatedSpace, op: sparse.csr_matrix) -> sparse.csr_matrix:
+    """1 x op, assembled directly: one copy of op per photon number.
+
+    In the nu-major basis this is block diagonal, so the CSR arrays are
+    those of op repeated with shifted offsets (same matrix as sparse.kron).
+    """
+    copies = np.arange(space.nu_max + 1)[:, None]
+    dim = op.shape[0]
+    indptr = np.append((op.indptr[:-1] + op.nnz * copies).ravel(), op.nnz * len(copies))
+    indices = (op.indices + dim * copies).ravel()
+    data = np.tile(op.data, len(copies))
+    size = dim * len(copies)
+    return sparse.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def _lift_field(space: TruncatedSpace, op: sparse.spmatrix) -> sparse.csr_matrix:
@@ -208,9 +219,6 @@ class StateVector:
         val = complex(np.vdot(self.data, op.dot(self.data)))
         return val / self.norm_squared()
 
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.data, other.data))
-
     def photon_distribution(self) -> np.ndarray:
         psi = self.data.reshape(self.space.nu_max + 1, self.space.atomic_dimension)
         weights = np.sum(np.abs(psi) ** 2, axis=1)
@@ -221,10 +229,6 @@ class StateVector:
         psi = self.data.reshape(self.space.nu_max + 1, self.space.atomic_dimension)
         rho = psi.T @ psi.conj()
         return rho / np.trace(rho).real
-
-
-def expect(state: StateVector, op: sparse.spmatrix) -> complex:
-    return state.expectation(op)
 
 
 def build_sacs_vector(

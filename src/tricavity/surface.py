@@ -8,7 +8,6 @@ Hamiltonian expectation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -138,6 +137,19 @@ def energy_rwa_polar(
     return params.omega * rho**2 + (n * diag - 2.0 * math.sqrt(n) * inter * rho) / norm
 
 
+def _radial_terms(params: ModelParams, rho2, rho3):
+    """Norm n, level term d and interaction I of the reduced surface; broadcasts."""
+    w1, w2, w3 = params.level_energies
+    norm = 1.0 + rho2**2 + rho3**2
+    diag = w1 + w2 * rho2**2 + w3 * rho3**2
+    inter = params.mu12 * rho2 + params.mu13 * rho3 + params.mu23 * rho2 * rho3
+    return norm, diag, inter
+
+
+def _interaction_factor(params: ModelParams) -> float:
+    return 2.0 if params.rwa else 4.0
+
+
 def reduced_radial_energy(
     params: ModelParams, rho: float, rho2: float, rho3: float
 ) -> float:
@@ -148,33 +160,12 @@ def reduced_radial_energy(
     only in the interaction prefactor (4 vs 2).
     """
     n = params.n_atoms
-    norm = 1.0 + rho2**2 + rho3**2
-    w1, w2, w3 = params.level_energies
-    diag = w1 + w2 * rho2**2 + w3 * rho3**2
-    inter = params.mu12 * rho2 + params.mu13 * rho3 + params.mu23 * rho2 * rho3
-    factor = 2.0 if params.rwa else 4.0
+    norm, diag, inter = _radial_terms(params, rho2, rho3)
+    factor = _interaction_factor(params)
     return (
         params.omega * rho**2
         + (n * diag - factor * math.sqrt(n) * inter * rho) / norm
     )
-
-
-@dataclass(frozen=True)
-class MinimizeStrategy:
-    """Knobs for the deterministic multi-start minimization."""
-
-    starts_per_axis: int = 4
-    rho_max: float | None = None
-    coord_tol: float = 1e-8
-    energy_tol: float = 1e-12
-    max_iter: int = 4000
-    eigendirection_scales: int = 24
-
-    def resolved_rho_max(self, params: ModelParams) -> float:
-        if self.rho_max is not None:
-            return self.rho_max
-        mu_max = max(params.mu12, params.mu13, params.mu23)
-        return max(4.0, 4.0 * math.sqrt(params.n_atoms) * mu_max / params.omega)
 
 
 @dataclass(frozen=True)
@@ -193,139 +184,134 @@ class CriticalPoint:
         )
 
 
-def _origin_hessian(params: ModelParams) -> np.ndarray:
-    """Analytic Hessian of the reduced surface at the origin."""
-    n = params.n_atoms
-    f = 2.0 if params.rwa else 4.0
-    _, w2, w3 = params.level_energies
-    sn = math.sqrt(n)
-    return np.array(
-        [
-            [2.0 * params.omega, -f * sn * params.mu12, -f * sn * params.mu13],
-            [-f * sn * params.mu12, 2.0 * n * w2, 0.0],
-            [-f * sn * params.mu13, 0.0, 2.0 * n * w3],
-        ]
+def _field_scale(params: ModelParams) -> float:
+    return _interaction_factor(params) * math.sqrt(params.n_atoms) / (2.0 * params.omega)
+
+
+def _field_radius(params: ModelParams, rho2, rho3):
+    """rho* = f sqrt(N) I / (2 Omega n), the field radius minimizing the surface."""
+    norm, _, inter = _radial_terms(params, rho2, rho3)
+    return _field_scale(params) * inter / norm
+
+
+def _profile(params: ModelParams, rho2, rho3):
+    """Reduced surface at rho = rho*, N d/n - Omega rho*^2; broadcasts.
+
+    The surface is quadratic in rho, so eliminating it in closed form leaves
+    a function of the atomic radii alone.
+    """
+    norm, diag, _ = _radial_terms(params, rho2, rho3)
+    return params.n_atoms * diag / norm - params.omega * _field_radius(params, rho2, rho3) ** 2
+
+
+def _profile_derivatives(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient and Hessian of the profile at x = (rho2, rho3).
+
+    Both d/n and rho* are ratios X = u/n with n = 1 + |x|^2, for which
+    X_k = (u_k - 2 x_k X)/n and X_kl = (u_kl - 2 d_kl X - 2 x_k X_l - 2 x_l X_k)/n.
+    """
+    x = np.asarray(x, dtype=float)
+    norm, diag, inter = _radial_terms(params, x[0], x[1])
+
+    def ratio(u, du, ddu):
+        val = u / norm
+        grad = (du - 2.0 * x * val) / norm
+        cross = np.outer(x, grad)
+        return val, grad, (ddu - 2.0 * val * np.eye(2) - 2.0 * (cross + cross.T)) / norm
+
+    w = np.array(params.level_energies[1:])
+    _, d_grad, d_hess = ratio(diag, 2.0 * w * x, 2.0 * np.diag(w))
+    k, mu23 = _field_scale(params), params.mu23
+    r, r_grad, r_hess = ratio(
+        k * inter,
+        k * np.array([params.mu12 + mu23 * x[1], params.mu13 + mu23 * x[0]]),
+        k * np.array([[0.0, mu23], [mu23, 0.0]]),
     )
+    n, omega = params.n_atoms, params.omega
+    grad = n * d_grad - 2.0 * omega * r * r_grad
+    hess = n * d_hess - 2.0 * omega * (np.outer(r_grad, r_grad) + r * r_hess)
+    return grad, hess
 
 
-def _numeric_hessian(fun, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    d = len(x)
-    hess = np.empty((d, d))
-    f0 = fun(x)
-    for a in range(d):
-        ea = np.zeros(d)
-        ea[a] = h
-        hess[a, a] = (fun(x + ea) - 2.0 * f0 + fun(x - ea)) / h**2
-        for b in range(a + 1, d):
-            eb = np.zeros(d)
-            eb[b] = h
-            hess[a, b] = hess[b, a] = (
-                fun(x + ea + eb) - fun(x + ea - eb) - fun(x - ea + eb) + fun(x - ea - eb)
-            ) / (4.0 * h**2)
-    return hess
+def _lattice_minima(values: np.ndarray) -> np.ndarray:
+    """Indices of the lattice sites no higher than any of their neighbours."""
+    rows, cols = values.shape
+    padded = np.pad(values, 1, constant_values=np.inf)
+    shifted = [padded[i : i + rows, j : j + cols] for i in range(3) for j in range(3)]
+    return np.argwhere(values <= np.min(shifted, axis=0))
 
 
-def minimize_surface(
-    params: ModelParams, strategy: MinimizeStrategy | None = None
-) -> CriticalPoint:
+def _newton_finish(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Newton steps on the analytic gradient while it keeps shrinking.
+
+    L-BFGS-B stops ~1e-8 short in the coordinates; two or three Newton
+    steps reach the stationary point to rounding.
+    """
+    grad, hess = _profile_derivatives(params, x)
+    for _ in range(4):
+        if np.linalg.eigvalsh(hess)[0] <= 0.0:
+            break
+        trial = np.maximum(x - np.linalg.solve(hess, grad), 0.0)
+        trial_grad, trial_hess = _profile_derivatives(params, trial)
+        if not np.linalg.norm(trial_grad) < np.linalg.norm(grad):
+            break
+        x, grad, hess = trial, trial_grad, trial_hess
+    return x
+
+
+def minimize_surface(params: ModelParams) -> CriticalPoint:
     """Global minimum of the reduced radial surface over nonnegative radii.
 
-    Deterministic multi-start Nelder-Mead: a coarse lattice over
-    [0, rho_max]^3 plus starts along the origin Hessian's most-negative
-    eigendirection at geometrically shrinking scales (the latter keep minima
-    near a phase boundary resolvable). Ties are broken lexicographically.
+    The field radius is solved in closed form (`_field_radius`), which
+    leaves the 2-D profile over (rho2, rho3). Every discrete local minimum
+    of a 64x64 lattice over [0, R]^2 starts an L-BFGS-B polish with the
+    analytic gradient, finished by Newton steps. One more start comes from
+    a line search along the softest eigendirection of the origin Hessian:
+    just past a phase boundary the minimum sits at a radius far below the
+    lattice spacing. Ties are broken lexicographically.
     """
-    strategy = strategy or MinimizeStrategy()
-    rho_max = strategy.resolved_rho_max(params)
+    mu_max = max(params.mu12, params.mu13, params.mu23)
+    bound = max(4.0, 4.0 * math.sqrt(params.n_atoms) * mu_max / params.omega)
+    axis = np.linspace(0.0, bound, 64)
+    lattice = _profile(params, axis[:, None], axis[None, :])
+    starts = [axis[site] for site in _lattice_minima(lattice)]
+
+    _, origin_hessian = _profile_derivatives(params, np.zeros(2))
+    # Entrywise-nonnegative direction of slowest ascent from the origin.
+    soft = np.abs(np.linalg.eigh(origin_hessian)[1][:, 0])
+    line = minimize_scalar(
+        lambda t: _profile(params, *(t * soft)),
+        bounds=(0.0, bound),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    starts.append(line.x * soft)
 
     def objective(x):
-        return reduced_radial_energy(params, x[0], x[1], x[2])
+        return _profile(params, *x), _profile_derivatives(params, x)[0]
 
-    starts = [
-        np.array(s, dtype=float)
-        for s in itertools.product(
-            np.linspace(0.0, rho_max, strategy.starts_per_axis), repeat=3
-        )
-    ]
-    evals, evecs = np.linalg.eigh(_origin_hessian(params))
-    unstable = None
-    if evals[0] < 0:
-        # Entrywise-positive direction of steepest descent from the origin.
-        unstable = np.abs(evecs[:, 0])
-        for k in range(strategy.eigendirection_scales):
-            starts.append(rho_max * 0.5**k * unstable)
-
-    bounds = [(0.0, None)] * 3
     best = None
     converged_any = False
     for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={
-                "xatol": strategy.coord_tol,
-                "fatol": strategy.energy_tol,
-                "maxiter": strategy.max_iter,
-            },
-        )
-        # Restart once from the first result; guards against premature
-        # simplex collapse far from the start.
-        res = minimize(
-            objective,
-            res.x,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={
-                "xatol": strategy.coord_tol,
-                "fatol": strategy.energy_tol,
-                "maxiter": strategy.max_iter,
-            },
-        )
+        res = minimize(objective, x0, method="L-BFGS-B", jac=True, bounds=[(0.0, None)] * 2)
         converged_any = converged_any or res.success
-        key = (res.fun, res.x[0], res.x[1], res.x[2])
+        r2, r3 = _newton_finish(params, res.x)
+        key = (_profile(params, r2, r3), _field_radius(params, r2, r3), r2, r3)
         if best is None or key < best:
             best = key
 
-    if unstable is not None:
-        # Just past a phase boundary the minimum sits at a radius far below
-        # any lattice spacing; a bounded line search along the unstable
-        # direction resolves it, and one Nelder-Mead restart from the line
-        # minimum re-opens the transverse coordinates.
-        line = minimize_scalar(
-            lambda t: objective(t * unstable),
-            bounds=(0.0, rho_max),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        if line.fun < best[0]:
-            res = minimize(
-                objective,
-                line.x * unstable,
-                method="Nelder-Mead",
-                bounds=bounds,
-                options={
-                    "xatol": strategy.coord_tol,
-                    "fatol": strategy.energy_tol,
-                    "maxiter": strategy.max_iter,
-                },
-            )
-            converged_any = converged_any or res.success
-            candidates = [(line.fun, *(line.x * unstable))]
-            if res.fun <= line.fun:
-                candidates.append((res.fun, res.x[0], res.x[1], res.x[2]))
-            best = min([best] + candidates)
-
-    e_best, r, r2, r3 = best
-    hess = _numeric_hessian(objective, np.array([r, r2, r3]))
+    _, r, r2, r3 = best
+    e_best = reduced_radial_energy(params, r, r2, r3)
+    # d^2E/drho^2 = 2 Omega > 0, so the profile Hessian is the Schur
+    # complement of the full one and decides its sign.
+    _, hess = _profile_derivatives(params, np.array([r2, r3]))
     tol = 1e-8 * max(1.0, abs(e_best))
     positive = bool(np.linalg.eigvalsh(hess).min() > tol)
     point = CriticalPoint(
         rho=r, rho2=r2, rho3=r3, energy=e_best, hessian_positive=positive
     )
     if not converged_any:
-        raise NonConvergence("no Nelder-Mead start converged", best=point)
+        raise NonConvergence("no gradient polish converged", best=point)
     return point
 
 
@@ -381,32 +367,25 @@ def coherent_expectations(params: ModelParams, point: CoherentPoint) -> Observab
     )
 
 
-BOUNDARY_STRATEGY = MinimizeStrategy(starts_per_axis=2, eigendirection_scales=6)
-
-
 def boundary_coupling(
     make_params,
     mu_lo: float,
     mu_hi: float,
     coupling_tol: float = 1e-6,
     rho_threshold: float = 1e-6,
-    strategy: MinimizeStrategy | None = None,
 ) -> float:
     """Bisect the coupling magnitude where the minimizing field turns on.
 
     ``make_params(mu)`` must return the ModelParams at coupling magnitude
     ``mu``. The transition indicator is the minimizer's field radius
     exceeding ``rho_threshold``; the returned magnitude is accurate to
-    ``coupling_tol``. The reduced multi-start budget below reproduces the
-    default-strategy minima on these one-minimum surfaces at a fraction of
-    the cost, which matters over ~20 bisection steps.
+    ``coupling_tol``.
     """
     if not mu_lo < mu_hi:
         raise ValueError("need mu_lo < mu_hi")
-    strategy = strategy or BOUNDARY_STRATEGY
 
     def collective(mu: float) -> bool:
-        return minimize_surface(make_params(mu), strategy=strategy).rho > rho_threshold
+        return minimize_surface(make_params(mu)).rho > rho_threshold
 
     if collective(mu_lo):
         raise NoTransitionFound(

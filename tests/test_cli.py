@@ -141,6 +141,13 @@ class TestPhaseBoundary:
         _, header, rows = parse_csv(proc.stdout)
         assert abs(column(header, rows, "numeric_boundary")[0] - 1.0) < 5e-4
 
+    def test_shifted_ground_level_boundary(self):
+        proc = run_cli("phase-boundary", "--omega1", "0.6", "--tol", "1e-5")
+        _, header, rows = parse_csv(proc.stdout)
+        expected = math.sqrt(1.0 - 0.6) / 2.0
+        assert abs(column(header, rows, "numeric_boundary")[0] - expected) < 1e-5
+        assert abs(column(header, rows, "analytic_boundary")[0] - expected) < 1e-12
+
     def test_missing_transition_is_numerical_failure(self):
         run_cli("phase-boundary", "--mu", "0.8:3", "--tol", "1e-3", expect=3)
 

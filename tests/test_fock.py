@@ -38,6 +38,24 @@ class TestSpace:
                 aji = fock.transition(space, j, i)
                 assert (abs(aij - aji.conj().T)).max() < 1e-12
 
+    def test_transition_equals_kronecker_lift(self):
+        # The direct block-diagonal assembly must be the Kronecker product
+        # 1 x A_ij exactly, down to the stored CSR arrays.
+        for n, nu_max in ((1, 0), (2, 7), (4, 3)):
+            space = fock.TruncatedSpace(n, nu_max)
+            for i in (1, 2, 3):
+                for j in (1, 2, 3):
+                    reference = sparse.kron(
+                        sparse.identity(nu_max + 1),
+                        fock.atomic_transition(space, i, j),
+                        format="csr",
+                    )
+                    lifted = fock.transition(space, i, j)
+                    assert lifted.shape == reference.shape
+                    assert np.array_equal(lifted.indptr, reference.indptr)
+                    assert np.array_equal(lifted.indices, reference.indices)
+                    assert np.array_equal(lifted.data, reference.data)
+
     def test_casimir_matrix_identities(self):
         for n in (1, 2, 3):
             space = fock.TruncatedSpace(n, 4)
