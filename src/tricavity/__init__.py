@@ -19,7 +19,6 @@ from .model import (
     couplings_from_magnitude,
     excitation_weights,
     parity_partner,
-    regime_v,
     rwa_coupling_map,
     symmetric_occupations,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "minimize_surface",
     "parity_partner",
     "reduced_radial_energy",
-    "regime_v",
     "rwa_coupling_map",
     "symmetric_occupations",
 ]

@@ -67,7 +67,8 @@ def _rel_dev(a, b) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _random_point(rng: np.random.Generator, alpha_scale: float = 1.2) -> CoherentPoint:
+def random_point(rng: np.random.Generator, alpha_scale: float = 1.2) -> CoherentPoint:
+    """Coherent point with |Re|, |Im| below alpha_scale (field) and 1.2 (atoms)."""
     re_im = rng.uniform(-1.0, 1.0, size=6)
     return CoherentPoint(
         alpha=alpha_scale * complex(re_im[0], re_im[1]),
@@ -76,12 +77,13 @@ def _random_point(rng: np.random.Generator, alpha_scale: float = 1.2) -> Coheren
     )
 
 
-def _random_params(
+def random_params(
     rng: np.random.Generator,
     config: AtomicConfiguration,
     n_atoms: int,
     rwa: bool = False,
 ) -> ModelParams:
+    """Well-formed parameters with generic frequencies and couplings."""
     w2, w3 = np.sort(rng.uniform(0.5, 1.5, size=2))
     omega1 = rng.uniform(0.0, 0.4)
     couplings = {"mu12": 0.0, "mu13": 0.0, "mu23": 0.0}
@@ -105,8 +107,8 @@ def _sacs_case(rng: np.random.Generator, level: CheckLevel):
         config = CONFIGS[rng.integers(len(CONFIGS))]
         n_atoms = int(level.n_atoms[rng.integers(len(level.n_atoms))])
         branch = BRANCHES[rng.integers(2)]
-        params = _random_params(rng, config, n_atoms, rwa=bool(rng.integers(2)))
-        point = _random_point(rng)
+        params = random_params(rng, config, n_atoms, rwa=bool(rng.integers(2)))
+        point = random_point(rng)
         sp = sacs.SacsPoint(point=point, branch=branch, config=config, n_atoms=n_atoms)
         if abs(sacs.kernel_reduced(sp)) > 1e-8:
             return params, sp
@@ -119,8 +121,8 @@ def check_polar_complex_agreement(rng: np.random.Generator, level: CheckLevel) -
         config = CONFIGS[rng.integers(len(CONFIGS))]
         n_atoms = int(level.n_atoms[rng.integers(len(level.n_atoms))])
         for rwa in (False, True):
-            params = _random_params(rng, config, n_atoms, rwa=rwa)
-            point = _random_point(rng)
+            params = random_params(rng, config, n_atoms, rwa=rwa)
+            point = random_point(rng)
             rho, phi, rho2, phi2, rho3, phi3 = point.polar()
             via_polar = (
                 surface.energy_rwa_polar(params, rho, phi, rho2, phi2, rho3, phi3)
@@ -142,7 +144,7 @@ def check_rwa_reduction(rng: np.random.Generator, level: CheckLevel) -> CheckRes
     for _ in range(level.points):
         config = CONFIGS[rng.integers(len(CONFIGS))]
         n_atoms = int(level.n_atoms[rng.integers(len(level.n_atoms))])
-        params = _random_params(rng, config, n_atoms, rwa=True)
+        params = random_params(rng, config, n_atoms, rwa=True)
         halved = ModelParams(
             omega=params.omega,
             omega1=params.omega1,
@@ -176,7 +178,7 @@ def check_coherent_casimir(rng: np.random.Generator, level: CheckLevel) -> Check
     worst = 0.0
     for _ in range(level.points):
         n_atoms = int(level.n_atoms[rng.integers(len(level.n_atoms))])
-        point = _random_point(rng)
+        point = random_point(rng)
         total = sum(surface.coherent_one_body(point, n_atoms, i, i) for i in (1, 2, 3))
         worst = max(worst, _rel_dev(total, n_atoms))
         quad = sum(
@@ -443,7 +445,7 @@ def check_angle_optimality(rng: np.random.Generator, level: CheckLevel) -> Check
     for _ in range(level.points):
         config = CONFIGS[rng.integers(len(CONFIGS))]
         n_atoms = int(level.n_atoms[rng.integers(len(level.n_atoms))])
-        params = _random_params(rng, config, n_atoms, rwa=False)
+        params = random_params(rng, config, n_atoms, rwa=False)
         rho, rho2, rho3 = rng.uniform(0.0, 1.5, size=3)
         reduced = surface.reduced_radial_energy(params, rho, rho2, rho3)
         phases = rng.uniform(-math.pi, math.pi, size=3)
@@ -464,7 +466,7 @@ def check_rotation_identity(rng: np.random.Generator, level: CheckLevel) -> Chec
     worst = 0.0
     invariance = 0.0
     for config in CONFIGS:
-        params = _random_params(rng, config, 2, rwa=False)
+        params = random_params(rng, config, 2, rwa=False)
         space = fock.TruncatedSpace(2, 14)
         for theta in (0.0, math.pi / 7.0, math.pi / 4.0, math.pi):
             worst = max(worst, fock.excitation_rotation_deviation(params, space, theta))
@@ -488,12 +490,12 @@ def check_fock_structure(rng: np.random.Generator, level: CheckLevel) -> CheckRe
     for config in CONFIGS:
         n_atoms = int(level.n_atoms[rng.integers(len(level.n_atoms))])
         space = fock.TruncatedSpace(n_atoms, 16)
-        params = _random_params(rng, config, n_atoms, rwa=False)
+        params = random_params(rng, config, n_atoms, rwa=False)
         h = fock.build_hamiltonian(params, space)
         worst = max(worst, float(abs(h - h.conjugate().transpose()).max()))
         pi_op = fock.parity_operator(space, config)
         worst = max(worst, float(abs(h @ pi_op - pi_op @ h).max()))
-        params_rwa = _random_params(rng, config, n_atoms, rwa=True)
+        params_rwa = random_params(rng, config, n_atoms, rwa=True)
         h_rwa = fock.build_hamiltonian(params_rwa, space)
         mop = fock.m_operator(space, config)
         worst = max(worst, float(abs(h_rwa @ mop - mop @ h_rwa).max()))

@@ -104,19 +104,37 @@ def _parse_list(text: str, name: str, allowed: tuple[str, ...]) -> tuple[str, ..
     return tuple(sorted(set(items), key=allowed.index))
 
 
+def _checked(convert, accept, what: str):
+    """argparse type: ``convert(text)``, rejected unless ``accept`` holds."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return parse
+
+
 def _make_params(args, mu: float, theta: float, n_atoms: int) -> ModelParams:
     config = CONFIG_NAMES[args.atom_config]
-    couplings = couplings_from_magnitude(config, mu, theta)
-    return ModelParams(
-        omega=args.omega,
-        omega1=args.omega1,
-        omega2=args.omega2,
-        omega3=args.omega3,
-        n_atoms=n_atoms,
-        config=config,
-        rwa=args.rwa,
-        **couplings,
-    )
+    try:
+        couplings = couplings_from_magnitude(config, mu, theta)
+        return ModelParams(
+            omega=args.omega,
+            omega1=args.omega1,
+            omega2=args.omega2,
+            omega3=args.omega3,
+            n_atoms=n_atoms,
+            config=config,
+            rwa=args.rwa,
+            **couplings,
+        )
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _printed_v_frame(params: ModelParams):
@@ -219,21 +237,21 @@ def _exact_columns(params: ModelParams, nu_max: int | None) -> dict:
     vec = ground.state
     space = vec.space
     n = params.n_atoms
-    nop = fock.photon_number(space)
     mop = fock.m_operator(space, params.config)
     m_mean = vec.expectation(mop).real
     m_var = vec.expectation(mop @ mop).real - m_mean**2
     rho = vec.atomic_density_matrix()
+    a11, a22, a33 = np.array(space.occupations).T @ np.diag(rho).real
     dist = vec.photon_distribution()
     nus = np.arange(dist.size)
     dist_mean = float(nus @ dist)
     dist_var = float(nus**2 @ dist) - dist_mean**2
     return {
         "energy": ground.energy / n,
-        "photons": vec.expectation(nop).real / n,
-        "a11": vec.expectation(fock.transition(space, 1, 1)).real / n,
-        "a22": vec.expectation(fock.transition(space, 2, 2)).real / n,
-        "a33": vec.expectation(fock.transition(space, 3, 3)).real / n,
+        "photons": dist_mean / n,
+        "a11": a11 / n,
+        "a22": a22 / n,
+        "a33": a33 / n,
         "m_mean": m_mean,
         "m_var": m_var,
         "q_m": (m_var / m_mean - 1.0) if m_mean > 1e-12 else None,
@@ -395,6 +413,8 @@ def cmd_phase_boundary(args, parser) -> int:
         mu_lo, mu_hi = float(parts[0]), float(parts[1])
     except ValueError:
         parser.error(f"--mu must be lo:hi for phase-boundary, got {args.mu!r}")
+    if not mu_lo < mu_hi:
+        parser.error(f"--mu must be lo:hi with lo < hi, got {args.mu!r}")
     theta = _parse_axis(args.theta, "--theta")
     atoms = _parse_atoms(args.n_atoms)
     if len(theta) > 1 or len(atoms) > 1:
@@ -437,9 +457,12 @@ def cmd_photon_dist(args, parser) -> int:
     atoms_axis = _parse_atoms(args.n_atoms)
     if len(mu_axis) > 1 or len(theta_axis) > 1 or len(atoms_axis) > 1:
         parser.error("photon-dist takes single --mu, --theta and --n-atoms values")
-    vp = vconfig.VParams(
-        mu=mu_axis[0], theta=theta_axis[0], n_atoms=atoms_axis[0], rwa=args.rwa
-    )
+    try:
+        vp = vconfig.VParams(
+            mu=mu_axis[0], theta=theta_axis[0], n_atoms=atoms_axis[0], rwa=args.rwa
+        )
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     approxes = args.branch
     if vp.regime() is Regime.NORMAL:
         top = 4
@@ -499,7 +522,10 @@ def cmd_spectrum(args, parser) -> int:
         parser.error("spectrum takes single --mu, --theta and --n-atoms values")
     params = _make_params(args, mu_axis[0], theta_axis[0], atoms_axis[0])
     nu_max = args.nu_max if args.nu_max is not None else 120
-    space = fock.TruncatedSpace(params.n_atoms, nu_max)
+    try:
+        space = fock.TruncatedSpace(params.n_atoms, nu_max)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"--nu-max {nu_max}: {exc}") from None
     rows = []
     for branch in (ParityBranch.EVEN, ParityBranch.ODD):
         values = fock.sector_spectrum(params, space, branch, k=args.k)
@@ -561,7 +587,7 @@ def _add_common(sub: argparse.ArgumentParser, mu_default: str, mu_help: str) -> 
     )
     sub.add_argument(
         "--nu-max",
-        type=int,
+        type=_checked(int, lambda v: v >= 0, "an integer >= 0"),
         default=None,
         help="photon cutoff override (default: auto-converged)",
     )
@@ -618,7 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(boundary, "0.05:3", "bracket lo:hi for the bisection")
     boundary.add_argument(
-        "--tol", type=float, default=1e-6, help="bisection tolerance in the coupling"
+        "--tol", type=_checked(float, lambda v: v > 0, "a number > 0"), default=1e-6,
+        help="bisection tolerance in the coupling",
     )
     boundary.set_defaults(func=cmd_phase_boundary)
 
@@ -657,7 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(spectrum, "1.0", "coupling magnitude (single value)")
     spectrum.add_argument(
-        "--k", type=int, default=6, help="eigenvalues per sector"
+        "--k", type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=6,
+        help="eigenvalues per sector",
     )
     spectrum.set_defaults(func=cmd_spectrum)
 

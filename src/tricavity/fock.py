@@ -28,12 +28,18 @@ from .model import (
     symmetric_occupations,
 )
 
-# Sector size above which the lowest eigenpair comes from Lanczos instead of
+# Sector size above which the lowest eigenpairs come from Lanczos instead of
 # a dense solve.
 DENSE_CUTOFF = 4000
 
 # Acceptable truncated weight of a coherent field state above the cutoff.
 TAIL_FLOOR = 1e-14
+
+# Basis size limit, certificate tolerance on |E(nu_max) - E(nu_max - 10)|,
+# and the cutoff schedule (doubling from NU_MAX_START up to NU_MAX_LIMIT).
+MAX_DIMENSION = 500_000
+CERTIFICATE_DELTA = 1e-10
+NU_MAX_START, NU_MAX_LIMIT = 40, 5120
 
 
 def suggested_nu_max(alpha: complex) -> int:
@@ -45,7 +51,7 @@ def suggested_nu_max(alpha: complex) -> int:
 class TruncatedSpace:
     """Truncated product basis with deterministic indexing."""
 
-    def __init__(self, n_atoms: int, nu_max: int, max_dimension: int = 500_000):
+    def __init__(self, n_atoms: int, nu_max: int):
         if n_atoms < 1:
             raise ValueError("n_atoms must be positive")
         if nu_max < 0:
@@ -54,9 +60,9 @@ class TruncatedSpace:
         self.nu_max = nu_max
         self.occupations = symmetric_occupations(n_atoms)
         dim = (nu_max + 1) * len(self.occupations)
-        if dim > max_dimension:
+        if dim > MAX_DIMENSION:
             raise ValueError(
-                f"basis dimension {dim} exceeds the configured limit {max_dimension}"
+                f"basis dimension {dim} exceeds the limit {MAX_DIMENSION}"
             )
         self._atomic_index = {
             (n2, n3): k for k, (_, n2, n3) in enumerate(self.occupations)
@@ -70,17 +76,11 @@ class TruncatedSpace:
     def dimension(self) -> int:
         return (self.nu_max + 1) * self.atomic_dimension
 
-    def index(self, nu: int, n2: int, n3: int) -> int:
-        return nu * self.atomic_dimension + self._atomic_index[(n2, n3)]
-
     def labels(self):
         """(nu, n1, n2, n3) for every basis vector, in index order."""
         for nu in range(self.nu_max + 1):
             for n1, n2, n3 in self.occupations:
                 yield (nu, n1, n2, n3)
-
-    def shrunk(self, nu_max: int) -> "TruncatedSpace":
-        return TruncatedSpace(self.n_atoms, nu_max)
 
 
 def atomic_transition(space: TruncatedSpace, i: int, j: int) -> sparse.csr_matrix:
@@ -236,20 +236,18 @@ def build_sacs_vector(
     branch: ParityBranch,
     config: AtomicConfiguration,
     space: TruncatedSpace,
-    check_tail: bool = True,
 ) -> StateVector:
     """Parity-adapted coherent state expanded in the truncated basis.
 
     Raises TailTooLarge when the coherent field component leaves more than
     TAIL_FLOOR of its weight above nu_max.
     """
-    if check_tail:
-        tail = float(gammainc(space.nu_max + 1, abs(point.alpha) ** 2))
-        if tail > TAIL_FLOOR:
-            raise TailTooLarge(
-                f"weight {tail:.3e} above nu_max={space.nu_max} for |alpha|^2="
-                f"{abs(point.alpha) ** 2:.3f}"
-            )
+    tail = float(gammainc(space.nu_max + 1, abs(point.alpha) ** 2))
+    if tail > TAIL_FLOOR:
+        raise TailTooLarge(
+            f"weight {tail:.3e} above nu_max={space.nu_max} for |alpha|^2="
+            f"{abs(point.alpha) ** 2:.3f}"
+        )
     l2, l3 = excitation_weights(config)
     n_fact = math.factorial(space.n_atoms)
     atom_amp = np.empty(space.atomic_dimension, dtype=complex)
@@ -272,13 +270,21 @@ def build_sacs_vector(
     return StateVector(space=space, data=psi.ravel())
 
 
-def _lowest_eigenpair(h_sub: sparse.csr_matrix) -> tuple[float, np.ndarray]:
-    dim = h_sub.shape[0]
+def _lowest_eigenpairs(block: sparse.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenvalues (ascending) and eigenvectors of a sector block.
+
+    Dense up to DENSE_CUTOFF, else Lanczos from a fixed start vector, so that
+    repeated solves agree bit for bit. Its entries are positive, so it
+    overlaps the nonnegative ground state (sector off-diagonals are <= 0),
+    and unequal: a uniform vector misses states odd under a level exchange.
+    """
+    dim = block.shape[0]
     if dim <= DENSE_CUTOFF:
-        vals, vecs = scipy.linalg.eigh(h_sub.toarray(), subset_by_index=(0, 0))
-        return float(vals[0]), vecs[:, 0]
-    vals, vecs = eigsh(h_sub, k=1, which="SA")
-    return float(vals[0]), vecs[:, 0]
+        return scipy.linalg.eigh(block.toarray(), subset_by_index=(0, k - 1))
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, dim)
+    vals, vecs = eigsh(block, k=k, which="SA", v0=v0)
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -308,79 +314,59 @@ class GroundStateResult:
         return self.even if self.even.energy <= self.odd.energy else self.odd
 
 
-def _sector_energy_and_state(
-    h: sparse.csr_matrix, indices: np.ndarray, space: TruncatedSpace
-) -> tuple[float, StateVector]:
-    sub = h[np.ix_(indices, indices)].tocsr()
-    energy, vec = _lowest_eigenpair(sub)
-    full = np.zeros(space.dimension, dtype=complex)
-    full[indices] = _fix_phase(vec)
-    return energy, StateVector(space=space, data=full)
-
-
 def ground_states(
     params: ModelParams,
     space: TruncatedSpace,
     certify: bool = True,
-    delta: float = 1e-10,
 ) -> GroundStateResult:
     """Per-parity-sector ground states with a cutoff-convergence certificate.
 
     The certificate compares each sector energy against the same computation
-    at nu_max - 10 and requires agreement within ``delta``.
+    at nu_max - 10 and requires agreement within CERTIFICATE_DELTA. The basis
+    is nu-major, so the nu_max - 10 sector is the leading principal block of
+    the nu_max one and is sliced from it rather than rebuilt.
     """
+    if certify and space.nu_max < 11:
+        raise CutoffNotConverged("nu_max too small to certify", delta=None)
     h = build_hamiltonian(params, space)
-    even_idx, odd_idx = parity_sectors(space, params.config)
-    e_even, v_even = _sector_energy_and_state(h, even_idx, space)
-    e_odd, v_odd = _sector_energy_and_state(h, odd_idx, space)
+    leading = (space.nu_max - 9) * space.atomic_dimension
+    grounds, deltas = [], []
+    for branch, indices in zip(ParityBranch, parity_sectors(space, params.config)):
+        block = h[np.ix_(indices, indices)].tocsr()
+        vals, vecs = _lowest_eigenpairs(block, 1)
+        full = np.zeros(space.dimension, dtype=complex)
+        full[indices] = _fix_phase(vecs[:, 0])
+        grounds.append(SectorGround(float(vals[0]), StateVector(space, full), branch))
+        if certify:
+            m = int(np.searchsorted(indices, leading))
+            deltas.append(abs(_lowest_eigenpairs(block[:m, :m], 1)[0][0] - vals[0]))
 
     certificate = {"delta": None, "nu_max": space.nu_max, "certified": False}
     if certify:
-        if space.nu_max < 11:
-            raise CutoffNotConverged("nu_max too small to certify", delta=None)
-        small = space.shrunk(space.nu_max - 10)
-        h_small = build_hamiltonian(params, small)
-        even_s, odd_s = parity_sectors(small, params.config)
-        deltas = []
-        for idx, e_ref in ((even_s, e_even), (odd_s, e_odd)):
-            sub = h_small[np.ix_(idx, idx)].tocsr()
-            e_small, _ = _lowest_eigenpair(sub)
-            deltas.append(abs(e_small - e_ref))
-        worst = max(deltas)
-        certificate.update(delta=worst, certified=worst < delta)
-        if worst >= delta:
+        worst = float(max(deltas))
+        certificate.update(delta=worst, certified=worst < CERTIFICATE_DELTA)
+        if worst >= CERTIFICATE_DELTA:
             raise CutoffNotConverged(
-                f"|E(nu_max) - E(nu_max - 10)| = {worst:.3e} >= {delta:.1e}",
+                f"|E(nu_max) - E(nu_max - 10)| = {worst:.3e} >= {CERTIFICATE_DELTA:.1e}",
                 delta=worst,
             )
-    return GroundStateResult(
-        even=SectorGround(e_even, v_even, ParityBranch.EVEN),
-        odd=SectorGround(e_odd, v_odd, ParityBranch.ODD),
-        nu_max=space.nu_max,
-        certificate=certificate,
-    )
+    even, odd = grounds
+    return GroundStateResult(even, odd, nu_max=space.nu_max, certificate=certificate)
 
 
-def converged_ground_states(
-    params: ModelParams,
-    nu_max_start: int = 40,
-    delta: float = 1e-10,
-    nu_max_limit: int = 5120,
-) -> GroundStateResult:
-    """Double the cutoff from ``nu_max_start`` until the certificate holds."""
-    nu_max = nu_max_start
-    last_exc = None
-    while nu_max <= nu_max_limit:
-        space = TruncatedSpace(params.n_atoms, nu_max)
+def converged_ground_states(params: ModelParams) -> GroundStateResult:
+    """Double the cutoff from NU_MAX_START until the certificate holds."""
+    nu_max = NU_MAX_START
+    while True:
         try:
-            return ground_states(params, space, certify=True, delta=delta)
+            return ground_states(params, TruncatedSpace(params.n_atoms, nu_max))
         except CutoffNotConverged as exc:
-            last_exc = exc
             nu_max *= 2
-    raise CutoffNotConverged(
-        f"no converged cutoff found up to nu_max={nu_max_limit}",
-        delta=getattr(last_exc, "delta", None),
-    )
+            if nu_max > NU_MAX_LIMIT:
+                raise CutoffNotConverged(
+                    f"no converged cutoff found up to nu_max={NU_MAX_LIMIT}",
+                    delta=exc.delta,
+                ) from exc
 
 
 def sector_spectrum(
@@ -393,13 +379,9 @@ def sector_spectrum(
     h = build_hamiltonian(params, space)
     even_idx, odd_idx = parity_sectors(space, params.config)
     idx = even_idx if branch is ParityBranch.EVEN else odd_idx
-    sub = h[np.ix_(idx, idx)].tocsr()
-    k = min(k, sub.shape[0])
-    if sub.shape[0] <= DENSE_CUTOFF:
-        vals = scipy.linalg.eigh(sub.toarray(), eigvals_only=True, subset_by_index=(0, k - 1))
-        return np.asarray(vals)
-    vals, _ = eigsh(sub, k=k, which="SA")
-    return np.sort(vals)
+    block = h[np.ix_(idx, idx)].tocsr()
+    vals, _ = _lowest_eigenpairs(block, min(k, block.shape[0]))
+    return vals
 
 
 def excitation_rotation_deviation(
@@ -409,7 +391,7 @@ def excitation_rotation_deviation(
 
     The counter-rotating part H_R transforms as cos(2 theta) H_R +
     (i/2) sin(2 theta) [M, H_R]; returns the max-abs entry difference over
-    the block with nu <= nu_max - 2 on both sides (interior of the cutoff).
+    the leading block nu <= nu_max - 2 (interior of the cutoff, nu-major).
     """
     h_r = counter_rotating_part(params, space).tocsc()
     m = m_diagonal(space, params.config).astype(float)
@@ -417,10 +399,8 @@ def excitation_rotation_deviation(
     left = sparse.diags(phase) @ h_r @ sparse.diags(phase.conjugate())
     comm = sparse.diags(m) @ h_r - h_r @ sparse.diags(m)
     right = math.cos(2.0 * theta) * h_r + 0.5j * math.sin(2.0 * theta) * comm
-    interior = np.flatnonzero(
-        np.array([nu <= space.nu_max - 2 for nu, *_ in space.labels()])
-    )
-    diff = (left - right).tocsr()[np.ix_(interior, interior)]
+    interior = max(space.nu_max - 1, 0) * space.atomic_dimension
+    diff = (left - right).tocsr()[:interior, :interior]
     if diff.nnz == 0:
         return 0.0
     return float(np.max(np.abs(diff.data)))

@@ -213,23 +213,6 @@ def parity_partner(config: AtomicConfiguration, point: CoherentPoint) -> Coheren
     return replace(flipped, alpha=-point.alpha)
 
 
-def regime_v(params: ModelParams) -> Regime:
-    """Normal/collective classification for the V scheme at double resonance.
-
-    Requires omega2 == omega3 (and the V configuration). Collective iff
-    mu12^2 + mu13^2 > Omega omega3 / 4, with the boundary classified normal.
-    """
-    if params.config is not AtomicConfiguration.V:
-        raise ValueError("regime classification implemented for the V configuration")
-    if params.omega2 != params.omega3:
-        raise ValueError("double resonance requires omega2 == omega3")
-    mu_sq = params.mu12**2 + params.mu13**2
-    if params.rwa:
-        mu_sq = mu_sq / 4.0
-    threshold = params.omega * params.omega3 / 4.0
-    return Regime.COLLECTIVE if mu_sq > threshold else Regime.NORMAL
-
-
 def rwa_coupling_map(params: ModelParams) -> ModelParams:
     """Map a full-Hamiltonian parameter set to the equivalent RWA one.
 

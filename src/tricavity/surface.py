@@ -383,6 +383,8 @@ def boundary_coupling(
     """
     if not mu_lo < mu_hi:
         raise ValueError("need mu_lo < mu_hi")
+    if not coupling_tol > 0:
+        raise ValueError("coupling_tol must be positive")
 
     def collective(mu: float) -> bool:
         return minimize_surface(make_params(mu)).rho > rho_threshold
@@ -398,6 +400,8 @@ def boundary_coupling(
     lo, hi = mu_lo, mu_hi
     while hi - lo > coupling_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # adjacent floats: the bracket cannot shrink further
         if collective(mid):
             hi = mid
         else:

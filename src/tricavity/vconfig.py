@@ -2,8 +2,8 @@
 
 Double resonance means omega2 = omega3 (degenerate excited doublet) with the
 two couplings split as (mu12, mu13) = mu (cos theta, sin theta). The normal/
-collective transition sits at mu^2 = Omega omega3 / 4 for the full
-Hamiltonian; in the RWA every formula below applies with mu -> mu/2 (the
+collective transition sits at mu^2 = Omega (omega3 - omega1) / 4 for the
+full Hamiltonian; in the RWA every formula below applies with mu -> mu/2 (the
 coherent surface of the RWA at coupling mu coincides with the full one at
 mu/2), which puts the RWA boundary at twice the coupling.
 
@@ -116,14 +116,18 @@ class VParams:
             rwa=params.rwa,
         )
 
+    @property
+    def boundary_mu_sq(self) -> float:
+        """Squared effective coupling at the boundary, Omega (omega3 - omega1) / 4."""
+        return self.omega * (self.omega3 - self.omega1) / 4.0
+
     def regime(self) -> Regime:
-        threshold = self.omega * self.omega3 / 4.0
-        return Regime.COLLECTIVE if self.mu_eff**2 > threshold else Regime.NORMAL
+        return Regime.COLLECTIVE if self.mu_eff**2 > self.boundary_mu_sq else Regime.NORMAL
 
 
-def mu_critical(omega: float = 1.0, omega3: float = 1.0, rwa: bool = False) -> float:
-    """Coupling magnitude at the normal/collective boundary."""
-    mu = math.sqrt(omega * omega3) / 2.0
+def mu_critical(omega: float = 1.0, gap: float = 1.0, rwa: bool = False) -> float:
+    """Coupling magnitude at the boundary; ``gap`` is omega3 - omega1."""
+    mu = math.sqrt(omega * gap) / 2.0
     return 2.0 * mu if rwa else mu
 
 
@@ -132,7 +136,7 @@ def nu_bar(vp: VParams) -> float:
     if vp.regime() is Regime.NORMAL:
         return 0.0
     mu_sq = vp.mu_eff**2
-    quarter = vp.omega * vp.omega3 / 4.0
+    quarter = vp.boundary_mu_sq
     return vp.n_atoms * (mu_sq - quarter) * (mu_sq + quarter) / (vp.omega**2 * mu_sq)
 
 
@@ -141,7 +145,7 @@ def critical_point_v(vp: VParams) -> tuple[float, float, float]:
     if vp.regime() is Regime.NORMAL:
         return (0.0, 0.0, 0.0)
     mu_sq = vp.mu_eff**2
-    quarter = vp.omega * vp.omega3 / 4.0
+    quarter = vp.boundary_mu_sq
     shared = math.sqrt((mu_sq - quarter) / (mu_sq * (mu_sq + quarter)))
     mu12 = vp.mu_eff * math.cos(vp.theta)
     mu13 = vp.mu_eff * math.sin(vp.theta)
@@ -162,11 +166,11 @@ def critical_coherent_point(vp: VParams) -> CoherentPoint:
 
 
 def e_min_v(vp: VParams) -> float:
-    """Coherent ground-surface energy per atom (omega1 adds as an offset)."""
+    """Coherent ground-surface energy per atom (gap omega3 - omega1, offset omega1)."""
     if vp.regime() is Regime.NORMAL:
         return vp.omega1
     mu_sq = vp.mu_eff**2
-    quarter = vp.omega * vp.omega3 / 4.0
+    quarter = vp.boundary_mu_sq
     return vp.omega1 - (mu_sq - quarter) ** 2 / (vp.omega * mu_sq)
 
 

@@ -1,48 +1,11 @@
-"""Random-case generators shared by the test modules."""
+"""Random-case generators shared by the test modules.
 
-import numpy as np
+``CONFIGS``, ``random_params`` and ``random_point`` come from the validation
+registry, so the tests and ``tricavity validate`` draw from one copy.
+"""
 
-from tricavity.model import AtomicConfiguration, CoherentPoint, ModelParams
+from tricavity.checks import CONFIGS, random_params, random_point  # noqa: F401
 from tricavity.sacs import SacsPoint, kernel_reduced
-
-CONFIGS = (
-    AtomicConfiguration.XI,
-    AtomicConfiguration.LAMBDA,
-    AtomicConfiguration.V,
-)
-
-
-def random_params(
-    rng: np.random.Generator,
-    config: AtomicConfiguration,
-    n_atoms: int,
-    rwa: bool = False,
-) -> ModelParams:
-    """Well-formed parameters with generic frequencies and couplings."""
-    omega1 = rng.uniform(0.0, 0.4)
-    step = np.sort(rng.uniform(0.5, 1.5, size=2))
-    couplings = {"mu12": 0.0, "mu13": 0.0, "mu23": 0.0}
-    for i, j in config.allowed_pairs:
-        couplings[f"mu{i}{j}"] = rng.uniform(0.2, 1.2)
-    return ModelParams(
-        omega=rng.uniform(0.7, 1.3),
-        omega1=omega1,
-        omega2=omega1 + step[0],
-        omega3=omega1 + step[1],
-        n_atoms=n_atoms,
-        config=config,
-        rwa=rwa,
-        **couplings,
-    )
-
-
-def random_point(rng: np.random.Generator, scale: float = 1.2) -> CoherentPoint:
-    re, im = rng.uniform(-scale, scale, size=3), rng.uniform(-scale, scale, size=3)
-    return CoherentPoint(
-        alpha=complex(re[0], im[0]),
-        gamma2=complex(re[1], im[1]),
-        gamma3=complex(re[2], im[2]),
-    )
 
 
 def random_sacs_point(rng, config, n_atoms, branch, scale: float = 1.2) -> SacsPoint:

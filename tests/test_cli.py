@@ -96,6 +96,17 @@ class TestSweep:
         # Energy per atom at fixed coupling is size independent here.
         assert max(abs(e + 0.5625) for e in energies) < 1e-9
 
+    def test_shifted_ground_level_even_branch_below_coherent(self):
+        # At omega1 = 0.6 the boundary sits at sqrt(0.4)/2 = 0.316, so
+        # mu = 0.4 is collective and the even projection lowers the energy.
+        proc = run_cli(
+            "sweep", "--mu", "0.4", "--omega1", "0.6", "--branch", "coherent,even,odd",
+            "--outputs", "energy",
+        )
+        _, header, rows = parse_csv(proc.stdout)
+        even = column(header, rows, "even_energy")[0]
+        assert even <= column(header, rows, "coherent_energy")[0]
+
     def test_two_grids_rejected(self):
         run_cli("sweep", "--mu", "0:1:3", "--theta", "0:1:3", expect=2)
 
@@ -106,6 +117,24 @@ class TestSweep:
         meta, header, rows = parse_csv(target.read_text())
         assert header == ["mu", "even_energy"]
         assert len(rows) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("spectrum", "--nu-max", "-1"),
+        ("spectrum", "--nu-max", "200000"),
+        ("spectrum", "--k", "0"),
+        ("sweep", "--mu", "1", "--omega", "-1"),
+        ("photon-dist", "--mu", "3", "--nu-max", "-3"),
+        ("photon-dist", "--mu", "-1"),
+        ("phase-boundary", "--mu", "0.1:1", "--tol", "0"),
+        ("phase-boundary", "--mu", "1:0.1"),
+    ],
+)
+def test_bad_input_exits_2(args):
+    proc = run_cli(*args, expect=2)
+    assert "Traceback" not in proc.stderr
 
 
 class TestConfigFile:

@@ -8,7 +8,7 @@ from scipy import sparse
 
 from tricavity import fock, sacs
 from tricavity.errors import TailTooLarge
-from tricavity.model import AtomicConfiguration, ParityBranch
+from tricavity.model import AtomicConfiguration, ModelParams, ParityBranch
 from tricavity.vconfig import VParams
 
 from helpers import CONFIGS, random_params, random_sacs_point
@@ -146,6 +146,38 @@ class TestGroundStates:
         for branch, ground in ((ParityBranch.EVEN, result.even), (ParityBranch.ODD, result.odd)):
             val = ground.state.expectation(pi)
             assert abs(val - branch.sign) < 1e-10
+
+
+class TestLanczosPath:
+    def test_lanczos_is_deterministic_and_matches_dense(self, monkeypatch):
+        p = VParams(mu=1.3, n_atoms=4).to_model_params()
+        space = fock.TruncatedSpace(4, 60)
+        dense = fock.ground_states(p, space, certify=False)
+        monkeypatch.setattr(fock, "DENSE_CUTOFF", 50)
+        first = fock.ground_states(p, space, certify=False)
+        second = fock.ground_states(p, space, certify=False)
+        for branch in ("even", "odd"):
+            a, b, ref = (getattr(r, branch) for r in (first, second, dense))
+            assert a.energy == b.energy
+            assert np.array_equal(a.state.data, b.state.data)
+            assert abs(a.energy - ref.energy) < 1e-12
+            assert np.abs(a.state.data - ref.state.data).max() < 1e-12
+
+    def test_lanczos_spectrum_keeps_exchange_odd_states(self, monkeypatch):
+        # Equal couplings into degenerate levels: the states odd under the
+        # 2 <-> 3 exchange decouple from the field (energies omega2 + nu
+        # Omega), are orthogonal to any exchange-symmetric start vector and
+        # must still appear in the spectrum.
+        p = ModelParams(
+            omega=1.0, omega1=0.0, omega2=1.0, omega3=1.0,
+            mu12=0.3, mu13=0.3, mu23=0.0, n_atoms=1,
+        )
+        space = fock.TruncatedSpace(1, 60)
+        dense = [fock.sector_spectrum(p, space, b, k=12) for b in BRANCHES]
+        monkeypatch.setattr(fock, "DENSE_CUTOFF", 20)
+        for branch, ref in zip(BRANCHES, dense):
+            vals = fock.sector_spectrum(p, space, branch, k=12)
+            assert np.abs(vals - ref).max() < 1e-10
 
 
 class TestSacsVectorOracle:

@@ -15,10 +15,11 @@ from tricavity.model import (
     couplings_from_magnitude,
     excitation_weights,
     parity_partner,
-    regime_v,
     rwa_coupling_map,
     symmetric_occupations,
 )
+
+from tricavity.vconfig import VParams
 
 from helpers import CONFIGS, random_point
 
@@ -158,20 +159,23 @@ class TestCoherentPoint:
 
 class TestRegimeAndRwa:
     def test_regime_threshold(self):
-        assert regime_v(make_v_params(0.49)) is Regime.NORMAL
-        assert regime_v(make_v_params(0.5)) is Regime.NORMAL
-        assert regime_v(make_v_params(0.51)) is Regime.COLLECTIVE
-        assert regime_v(make_v_params(0.99, rwa=True)) is Regime.NORMAL
-        assert regime_v(make_v_params(1.01, rwa=True)) is Regime.COLLECTIVE
+        def regime(p):
+            return VParams.from_model_params(p).regime()
+
+        assert regime(make_v_params(0.49)) is Regime.NORMAL
+        assert regime(make_v_params(0.5)) is Regime.NORMAL
+        assert regime(make_v_params(0.51)) is Regime.COLLECTIVE
+        assert regime(make_v_params(0.99, rwa=True)) is Regime.NORMAL
+        assert regime(make_v_params(1.01, rwa=True)) is Regime.COLLECTIVE
 
     def test_regime_requires_v_double_resonance(self):
         xi = ModelParams(1.0, 0.0, 1.0, 1.0, 0.5, 0.0, 0.5, 2,
                          config=AtomicConfiguration.XI)
         with pytest.raises(ValueError):
-            regime_v(xi)
+            VParams.from_model_params(xi)
         detuned = ModelParams(1.0, 0.0, 0.9, 1.0, 0.5, 0.5, 0.0, 2)
         with pytest.raises(ValueError):
-            regime_v(detuned)
+            VParams.from_model_params(detuned)
 
     def test_rwa_map_doubles_couplings(self):
         p = make_v_params(0.7)

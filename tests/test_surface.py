@@ -220,3 +220,14 @@ class TestBoundaryBisection:
     def test_rejects_inverted_bracket(self):
         with pytest.raises(ValueError):
             boundary_coupling(lambda mu: VParams(mu=mu).to_model_params(), 2.0, 1.0)
+
+    def test_tolerance_is_positive_and_bounded_by_float_spacing(self):
+        def make(mu):
+            return VParams(mu=mu).to_model_params()
+
+        for tol in (0.0, -1e-6):
+            with pytest.raises(ValueError):
+                boundary_coupling(make, 0.1, 1.0, coupling_tol=tol)
+        # Below the float spacing the bisection stops at adjacent floats.
+        found = boundary_coupling(make, 0.1, 1.0, coupling_tol=1e-300)
+        assert abs(found - 0.5) < 1e-9

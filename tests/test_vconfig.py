@@ -7,7 +7,7 @@ import pytest
 
 from tricavity import fock, sacs
 from tricavity.model import ParityBranch, Regime
-from tricavity.surface import coherent_expectations, energy_full
+from tricavity.surface import coherent_expectations, energy_full, minimize_surface
 from tricavity.vconfig import (
     Approximation,
     VParams,
@@ -73,6 +73,8 @@ class TestVParams:
         assert abs(mu_critical(2.0, 0.5, rwa=False) - 0.5) < 1e-15
         assert VParams(mu=0.5).regime() is Regime.NORMAL
         assert VParams(mu=0.5 + 1e-12).regime() is Regime.COLLECTIVE
+        # The boundary follows the gap omega3 - omega1, not omega3.
+        assert VParams(mu=0.32, omega1=0.6).regime() is Regime.COLLECTIVE
 
 
 class TestCollectiveClosedForms:
@@ -96,13 +98,17 @@ class TestCollectiveClosedForms:
                 theta=rng.uniform(0.0, math.pi / 2),
                 omega=rng.uniform(0.7, 1.3),
                 omega3=rng.uniform(0.8, 1.5),
+                omega1=rng.choice([0.0, rng.uniform(0.0, 0.6)]),
                 n_atoms=int(rng.integers(1, 7)),
             )
             if vp.regime() is not Regime.COLLECTIVE:
                 continue
-            pt = critical_coherent_point(vp)
-            e = energy_full(vp.to_model_params(), pt)
+            params = vp.to_model_params()
+            e = energy_full(params, critical_coherent_point(vp))
             assert abs(e - vp.n_atoms * e_min_v(vp)) < 1e-10 * max(1.0, abs(e))
+            crit = minimize_surface(params)
+            assert abs(crit.energy - e) < 1e-10 * max(1.0, abs(e))
+            assert abs(crit.rho - critical_point_v(vp)[0]) < 1e-6
 
     def test_photon_mean_matches_surface_report(self):
         rng = np.random.default_rng(419)
