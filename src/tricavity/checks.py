@@ -67,13 +67,13 @@ def _rel_dev(a, b) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def random_point(rng: np.random.Generator, alpha_scale: float = 1.2) -> CoherentPoint:
-    """Coherent point with |Re|, |Im| below alpha_scale (field) and 1.2 (atoms)."""
+def random_point(rng: np.random.Generator, scale: float = 1.2) -> CoherentPoint:
+    """Coherent point with every |Re|, |Im| of alpha, gamma2, gamma3 below scale."""
     re_im = rng.uniform(-1.0, 1.0, size=6)
     return CoherentPoint(
-        alpha=alpha_scale * complex(re_im[0], re_im[1]),
-        gamma2=1.2 * complex(re_im[2], re_im[3]),
-        gamma3=1.2 * complex(re_im[4], re_im[5]),
+        alpha=scale * complex(re_im[0], re_im[1]),
+        gamma2=scale * complex(re_im[2], re_im[3]),
+        gamma3=scale * complex(re_im[4], re_im[5]),
     )
 
 

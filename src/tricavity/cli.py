@@ -137,6 +137,14 @@ def _make_params(args, mu: float, theta: float, n_atoms: int) -> ModelParams:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _checked_space(n_atoms: int, nu_max: int) -> fock.TruncatedSpace:
+    """The truncated space, with its basis-size limit reported as bad input."""
+    try:
+        return fock.TruncatedSpace(n_atoms, nu_max)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"--nu-max {nu_max}: {exc}") from None
+
+
 def _printed_v_frame(params: ModelParams):
     """VParams when the section-specific closed-form limits apply."""
     if params.config is not AtomicConfiguration.V:
@@ -183,19 +191,8 @@ def _sacs_columns(
             else vconfig.Approximation.SACS_ODD
         )
         limits = vconfig.limit_observables(vp, approx)
-        return {
-            "energy": limits["energy"],
-            "photons": limits["photons"],
-            "a11": limits["a11"],
-            "a22": limits["a22"],
-            "a33": limits["a33"],
-            "m_mean": limits["m_mean"],
-            "m_var": limits["m_var"],
-            "q_m": limits["q_m"],
-            "entropy": limits["entropy"],
-            "dist_mean": limits["photon_mean"],
-            "dist_std": limits["photon_std"],
-        }
+        limits["dist_mean"], limits["dist_std"] = limits["photon_mean"], limits["photon_std"]
+        return limits
     n = params.n_atoms
     sp = sacs.SacsPoint(
         point=crit.as_point(), branch=branch, config=params.config, n_atoms=n
@@ -350,6 +347,8 @@ def cmd_sweep(args, parser) -> int:
     grid_var = swept[0] if swept else "mu"
     approxes = args.branch
     outputs = args.outputs
+    if "exact" in approxes and args.nu_max is not None:
+        _checked_space(max(atoms_axis), args.nu_max)
 
     tasks = []
     for n_atoms in atoms_axis:
@@ -522,10 +521,7 @@ def cmd_spectrum(args, parser) -> int:
         parser.error("spectrum takes single --mu, --theta and --n-atoms values")
     params = _make_params(args, mu_axis[0], theta_axis[0], atoms_axis[0])
     nu_max = args.nu_max if args.nu_max is not None else 120
-    try:
-        space = fock.TruncatedSpace(params.n_atoms, nu_max)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"--nu-max {nu_max}: {exc}") from None
+    space = _checked_space(params.n_atoms, nu_max)
     rows = []
     for branch in (ParityBranch.EVEN, ParityBranch.ODD):
         values = fock.sector_spectrum(params, space, branch, k=args.k)
@@ -592,7 +588,8 @@ def _add_common(sub: argparse.ArgumentParser, mu_default: str, mu_help: str) -> 
         help="photon cutoff override (default: auto-converged)",
     )
     sub.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers for grid points"
+        "--jobs", type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=1,
+        help="parallel workers for grid points",
     )
 
 

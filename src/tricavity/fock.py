@@ -59,10 +59,9 @@ class TruncatedSpace:
         self.n_atoms = n_atoms
         self.nu_max = nu_max
         self.occupations = symmetric_occupations(n_atoms)
-        dim = (nu_max + 1) * len(self.occupations)
-        if dim > MAX_DIMENSION:
+        if self.dimension > MAX_DIMENSION:
             raise ValueError(
-                f"basis dimension {dim} exceeds the limit {MAX_DIMENSION}"
+                f"basis dimension {self.dimension} exceeds the limit {MAX_DIMENSION}"
             )
         self._atomic_index = {
             (n2, n3): k for k, (_, n2, n3) in enumerate(self.occupations)
@@ -314,6 +313,13 @@ class GroundStateResult:
         return self.even if self.even.energy <= self.odd.energy else self.odd
 
 
+def _sector_blocks(params: ModelParams, space: TruncatedSpace):
+    """Yield (branch, indices, H block) for the even, then the odd sector."""
+    h = build_hamiltonian(params, space)
+    for branch, indices in zip(ParityBranch, parity_sectors(space, params.config)):
+        yield branch, indices, h[np.ix_(indices, indices)].tocsr()
+
+
 def ground_states(
     params: ModelParams,
     space: TruncatedSpace,
@@ -328,11 +334,9 @@ def ground_states(
     """
     if certify and space.nu_max < 11:
         raise CutoffNotConverged("nu_max too small to certify", delta=None)
-    h = build_hamiltonian(params, space)
     leading = (space.nu_max - 9) * space.atomic_dimension
     grounds, deltas = [], []
-    for branch, indices in zip(ParityBranch, parity_sectors(space, params.config)):
-        block = h[np.ix_(indices, indices)].tocsr()
+    for branch, indices, block in _sector_blocks(params, space):
         vals, vecs = _lowest_eigenpairs(block, 1)
         full = np.zeros(space.dimension, dtype=complex)
         full[indices] = _fix_phase(vecs[:, 0])
@@ -376,12 +380,9 @@ def sector_spectrum(
     k: int = 6,
 ) -> np.ndarray:
     """Lowest k eigenvalues of one parity sector."""
-    h = build_hamiltonian(params, space)
-    even_idx, odd_idx = parity_sectors(space, params.config)
-    idx = even_idx if branch is ParityBranch.EVEN else odd_idx
-    block = h[np.ix_(idx, idx)].tocsr()
-    vals, _ = _lowest_eigenpairs(block, min(k, block.shape[0]))
-    return vals
+    for sector, _, block in _sector_blocks(params, space):
+        if sector is branch:
+            return _lowest_eigenpairs(block, min(k, block.shape[0]))[0]
 
 
 def excitation_rotation_deviation(

@@ -124,6 +124,8 @@ class TestSweep:
     [
         ("spectrum", "--nu-max", "-1"),
         ("spectrum", "--nu-max", "200000"),
+        ("sweep", "--mu", "1", "--nu-max", "200000", "--branch", "exact"),
+        ("sweep", "--mu", "1", "--jobs", "0"),
         ("spectrum", "--k", "0"),
         ("sweep", "--mu", "1", "--omega", "-1"),
         ("photon-dist", "--mu", "3", "--nu-max", "-3"),
