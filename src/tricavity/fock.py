@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 from scipy.special import gammainc
 
@@ -28,9 +29,9 @@ from .model import (
     symmetric_occupations,
 )
 
-# Sector size above which the lowest eigenpairs come from Lanczos instead of
-# a dense solve.
-DENSE_CUTOFF = 4000
+# Size of a coupled component above which its lowest eigenpairs come from
+# Lanczos instead of a dense solve.
+DENSE_CUTOFF = 256
 
 # Acceptable truncated weight of a coherent field state above the cutoff.
 TAIL_FLOOR = 1e-14
@@ -272,18 +273,38 @@ def build_sacs_vector(
 def _lowest_eigenpairs(block: sparse.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenvalues (ascending) and eigenvectors of a sector block.
 
-    Dense up to DENSE_CUTOFF, else Lanczos from a fixed start vector, so that
-    repeated solves agree bit for bit. Its entries are positive, so it
-    overlaps the nonnegative ground state (sector off-diagonals are <= 0),
-    and unequal: a uniform vector misses states odd under a level exchange.
+    The block is split into the connected components of its coupling graph
+    (under the RWA these are the blocks of fixed M) and each is solved on
+    its own: dense when it has at most DENSE_CUTOFF states or k is not small
+    against its size, else Lanczos from a fixed start vector, so that
+    repeated solves agree bit for bit. Each component is irreducible with
+    off-diagonals <= 0, so its ground state is positive and overlaps the
+    positive start vector; solving the whole block at once would let the
+    Lanczos run miss a decoupled component such as the RWA vacuum. The
+    entries are unequal because a uniform vector misses states odd under a
+    level exchange. The components' pairs are merged by a stable sort.
     """
-    dim = block.shape[0]
-    if dim <= DENSE_CUTOFF:
-        return scipy.linalg.eigh(block.toarray(), subset_by_index=(0, k - 1))
-    v0 = np.random.default_rng(0).uniform(0.5, 1.5, dim)
-    vals, vecs = eigsh(block, k=k, which="SA", v0=v0)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    n_parts, labels = connected_components(block != 0, directed=False)
+    members = np.argsort(labels, kind="stable")
+    parts = np.split(members, np.cumsum(np.bincount(labels))[:-1])
+    values, columns = [], []
+    for part in parts:
+        n = part.size
+        kk = min(k, n)
+        sub = block[np.ix_(part, part)] if n_parts > 1 else block
+        if n <= DENSE_CUTOFF or 4 * kk >= n:
+            vals, vecs = scipy.linalg.eigh(sub.toarray(), subset_by_index=(0, kk - 1))
+        else:
+            v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+            vals, vecs = eigsh(sub, k=kk, which="SA", v0=v0)
+        values.extend(vals)
+        columns.extend((part, vec) for vec in vecs.T)
+    order = np.argsort(values, kind="stable")[:k]
+    vectors = np.zeros((block.shape[0], order.size), dtype=block.dtype)
+    for out, pick in enumerate(order):
+        part, vec = columns[pick]
+        vectors[part, out] = vec
+    return np.asarray(values)[order], vectors
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -382,7 +403,7 @@ def sector_spectrum(
     """Lowest k eigenvalues of one parity sector."""
     for sector, _, block in _sector_blocks(params, space):
         if sector is branch:
-            return _lowest_eigenpairs(block, min(k, block.shape[0]))[0]
+            return _lowest_eigenpairs(block, k)[0]
 
 
 def excitation_rotation_deviation(

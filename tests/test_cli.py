@@ -107,6 +107,17 @@ class TestSweep:
         even = column(header, rows, "even_energy")[0]
         assert even <= column(header, rows, "coherent_energy")[0]
 
+    def test_conserving_vacuum_at_large_n(self):
+        # Under the RWA below the boundary the exact ground state is the
+        # vacuum: energy 0 in the even sector, also at N = 20.
+        proc = run_cli(
+            "sweep", "--mu", "0.3", "--rwa", "--n-atoms", "20", "--branch", "exact",
+            "--outputs", "energy",
+        )
+        _, header, rows = parse_csv(proc.stdout)
+        assert column(header, rows, "exact_energy") == [0.0]
+        assert column(header, rows, "exact_parity") == [1.0]
+
     def test_two_grids_rejected(self):
         run_cli("sweep", "--mu", "0:1:3", "--theta", "0:1:3", expect=2)
 
@@ -130,6 +141,11 @@ class TestSweep:
         ("sweep", "--mu", "1", "--omega", "-1"),
         ("photon-dist", "--mu", "3", "--nu-max", "-3"),
         ("photon-dist", "--mu", "-1"),
+        ("photon-dist", "--mu", "3", "--omega", "2"),
+        ("photon-dist", "--mu", "3", "--omega1", "0.2"),
+        ("photon-dist", "--mu", "3", "--omega2", "0.5"),
+        ("photon-dist", "--mu", "3", "--omega3", "1.7"),
+        ("photon-dist", "--mu", "3", "--atom-config", "xi"),
         ("phase-boundary", "--mu", "0.1:1", "--tol", "0"),
         ("phase-boundary", "--mu", "1:0.1"),
     ],

@@ -179,6 +179,56 @@ class TestLanczosPath:
             vals = fock.sector_spectrum(p, space, branch, k=12)
             assert np.abs(vals - ref).max() < 1e-10
 
+    def test_large_k_returns_whole_sector(self, monkeypatch):
+        # k at or above the size of a block too large for the dense path
+        # must not reach Lanczos, which cannot return a whole spectrum.
+        p = VParams(mu=1.0, n_atoms=1).to_model_params()
+        space = fock.TruncatedSpace(1, 200)
+        sizes = [idx.size for idx in fock.parity_sectors(space, p.config)]
+        assert min(sizes) > fock.DENSE_CUTOFF
+        found = [fock.sector_spectrum(p, space, b, k=400) for b in BRANCHES]
+        monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
+        for vals, size, branch in zip(found, sizes, BRANCHES):
+            ref = fock.sector_spectrum(p, space, branch, k=400)
+            assert vals.size == size
+            assert np.all(np.diff(vals) >= 0)
+            assert np.abs(vals - ref).max() < 1e-10
+
+    def test_default_path_is_deterministic_and_matches_dense(self, monkeypatch):
+        p = VParams(mu=1.5, theta=0.8, n_atoms=8).to_model_params()
+        first = fock.converged_ground_states(p)
+        second = fock.converged_ground_states(p)
+        monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
+        dense = fock.converged_ground_states(p)
+        assert first.nu_max == second.nu_max == dense.nu_max
+        assert first.certificate == second.certificate
+        for branch in ("even", "odd"):
+            a, b, ref = (getattr(r, branch) for r in (first, second, dense))
+            assert a.energy == b.energy
+            assert np.array_equal(a.state.data, b.state.data)
+            assert abs(a.energy - ref.energy) < 1e-12
+
+
+class TestCoupledComponents:
+    def test_conserving_vacuum_found_at_large_n(self):
+        # Under the RWA the vacuum is a component of its own; a Lanczos run
+        # over the whole even block converges to the next M block instead.
+        p = VParams(mu=0.3, n_atoms=20, rwa=True).to_model_params()
+        result = fock.converged_ground_states(p)
+        assert abs(result.even.energy) < 1e-12
+        assert result.global_ground.sector is ParityBranch.EVEN
+
+    def test_conserving_sectors_match_dense(self, monkeypatch):
+        space = fock.TruncatedSpace(4, 80)
+        cases = [VParams(mu=mu, n_atoms=4, rwa=True).to_model_params() for mu in (0.3, 1.3)]
+        monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
+        dense = [fock.ground_states(p, space, certify=False) for p in cases]
+        monkeypatch.setattr(fock, "DENSE_CUTOFF", 50)
+        for p, ref in zip(cases, dense):
+            split = fock.ground_states(p, space, certify=False)
+            for branch in ("even", "odd"):
+                assert abs(getattr(split, branch).energy - getattr(ref, branch).energy) < 1e-12
+
 
 class TestSacsVectorOracle:
     def test_tail_guard_rejects_small_cutoff(self):
