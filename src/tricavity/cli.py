@@ -462,8 +462,8 @@ def cmd_photon_dist(args, parser) -> int:
         )
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    frame = (vp.omega, vp.omega1, vp.omega3, vp.omega3)
-    if args.atom_config != "v" or (args.omega, args.omega1, args.omega2, args.omega3) != frame:
+    flags = (args.omega, args.omega1, args.omega2, args.omega3)
+    if args.atom_config != "v" or flags != (vp.omega, vp.omega1, vp.omega3, vp.omega3):
         raise argparse.ArgumentTypeError(
             f"photon-dist tabulates only the V scheme at omega = {vp.omega:g}, "
             f"omega1 = {vp.omega1:g}, omega2 = omega3 = {vp.omega3:g}"
