@@ -152,6 +152,7 @@ class TestLanczosPath:
     def test_lanczos_is_deterministic_and_matches_dense(self, monkeypatch):
         p = VParams(mu=1.3, n_atoms=4).to_model_params()
         space = fock.TruncatedSpace(4, 60)
+        monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
         dense = fock.ground_states(p, space, certify=False)
         monkeypatch.setattr(fock, "DENSE_CUTOFF", 50)
         first = fock.ground_states(p, space, certify=False)
@@ -207,6 +208,7 @@ class TestLanczosPath:
             assert a.energy == b.energy
             assert np.array_equal(a.state.data, b.state.data)
             assert abs(a.energy - ref.energy) < 1e-12
+            assert np.abs(a.state.data - ref.state.data).max() < 1e-12
 
 
 class TestCoupledComponents:
