@@ -580,9 +580,17 @@ def info_printed_energy(rng: np.random.Generator, level: CheckLevel) -> CheckRes
             lines.append(
                 f"mu={mu} {branch.name.lower()}: direct {direct:+.10f}, printed {printed:+.10f}"
             )
+    vp = vconfig.VParams(mu=0.3)
+    printed = vconfig.limit_observables(vp, vconfig.Approximation.SACS_ODD)["energy"]
+    limit = sacs.branch_observables(
+        vp.to_model_params(), vconfig.critical_coherent_point(vp), ParityBranch.ODD
+    ).energy / 2.0
+    worst = max(worst, abs(limit - printed))
+    lines.append(f"mu=0.3 odd (normal): limit {limit:+.10f}, printed {printed:+.10f}")
     detail = (
         "printed odd branch tracks the direct value; the printed even branch "
-        "correction carries the opposite sign. "
+        "correction carries the opposite sign; the printed normal-regime odd "
+        "energy 1/(2N) lies below the epsilon -> 0 limit (1 - mu)/N. "
         + "; ".join(lines)
     )
     return CheckResult("printed-energy-forms", True, worst, detail, info=True)

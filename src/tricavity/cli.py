@@ -29,7 +29,6 @@ from .model import (
     AtomicConfiguration,
     ModelParams,
     ParityBranch,
-    Regime,
     couplings_from_magnitude,
 )
 
@@ -145,83 +144,41 @@ def _checked_space(n_atoms: int, nu_max: int) -> fock.TruncatedSpace:
         raise argparse.ArgumentTypeError(f"--nu-max {nu_max}: {exc}") from None
 
 
-def _printed_v_frame(params: ModelParams):
-    """VParams when the section-specific closed-form limits apply."""
-    if params.config is not AtomicConfiguration.V:
-        return None
-    try:
-        vp = vconfig.VParams.from_model_params(params)
-    except ValueError:
-        return None
-    if vp.omega == 1.0 and vp.omega3 == 1.0:
-        return vp
-    return None
+def _columns(n: int, obs: sacs.StateObservables) -> dict:
+    """Sweep columns of one state: energy, photons and populations per atom."""
+    one = obs.one_body
+    return {
+        "energy": obs.energy / n,
+        "photons": one.n_photons / n,
+        "a11": one.a11 / n,
+        "a22": one.a22 / n,
+        "a33": one.a33 / n,
+        "m_mean": obs.m_mean,
+        "m_var": obs.m_var,
+        "q_m": obs.q_m,
+        "entropy": obs.entropy,
+        "dist_mean": one.n_photons,
+        "dist_std": math.sqrt(max(obs.photon_var, 0.0)),
+    }
 
 
 def _coherent_columns(params: ModelParams, crit: surface.CriticalPoint) -> dict:
-    n = params.n_atoms
     rep = surface.coherent_expectations(params, crit.as_point())
     try:
         q_m = rep.q_mandel
     except IndeterminateQ:
         q_m = None
-    return {
-        "energy": rep.energy / n,
-        "photons": rep.n_photons / n,
-        "a11": rep.populations[0] / n,
-        "a22": rep.populations[1] / n,
-        "a33": rep.populations[2] / n,
-        "m_mean": rep.m_mean,
-        "m_var": rep.m_var,
-        "q_m": q_m,
-        "entropy": 0.0,
-        "dist_mean": rep.n_photons,
-        "dist_std": math.sqrt(max(rep.var_photons, 0.0)),
-    }
+    one = sacs.OneBodyExpectations(*rep.populations, rep.n_photons)
+    obs = sacs.StateObservables(rep.energy, one, rep.var_photons, rep.m_mean, rep.m_var, q_m, 0.0)
+    return _columns(params.n_atoms, obs)
 
 
-def _sacs_columns(
-    params: ModelParams, crit: surface.CriticalPoint, branch: ParityBranch
-) -> dict:
-    vp = _printed_v_frame(params)
-    if vp is not None and vp.regime() is Regime.NORMAL:
-        approx = (
-            vconfig.Approximation.SACS_EVEN
-            if branch is ParityBranch.EVEN
-            else vconfig.Approximation.SACS_ODD
-        )
-        limits = vconfig.limit_observables(vp, approx)
-        limits["dist_mean"], limits["dist_std"] = limits["photon_mean"], limits["photon_std"]
-        return limits
-    n = params.n_atoms
-    sp = sacs.SacsPoint(
-        point=crit.as_point(), branch=branch, config=params.config, n_atoms=n
-    )
+def _sacs_columns(params: ModelParams, crit: surface.CriticalPoint, branch: ParityBranch) -> dict:
     try:
-        one = sacs.expect_one_body(sp)
-        n_mean, n_sq = sacs.expect_photon_moments(sp)
-        mom = sacs.expect_m_moments(sp)
-        energy = sacs.sacs_energy(params, sp)
-        entropy = sacs.linear_entropy(sp)
+        obs = sacs.branch_observables(params, crit.as_point(), branch)
     except DegenerateState:
         return {key: None for cols in OUTPUT_GROUPS.values() for key in cols}
-    try:
-        q_m = mom.q_mandel
-    except IndeterminateQ:
-        q_m = None
-    return {
-        "energy": energy / n,
-        "photons": one.n_photons / n,
-        "a11": one.a11 / n,
-        "a22": one.a22 / n,
-        "a33": one.a33 / n,
-        "m_mean": mom.mean,
-        "m_var": mom.variance,
-        "q_m": q_m,
-        "entropy": entropy,
-        "dist_mean": n_mean,
-        "dist_std": math.sqrt(max(n_sq - n_mean**2, 0.0)),
-    }
+    return _columns(params.n_atoms, obs)
 
 
 def _exact_columns(params: ModelParams, nu_max: int | None) -> dict:
@@ -233,7 +190,6 @@ def _exact_columns(params: ModelParams, nu_max: int | None) -> dict:
     ground = result.global_ground
     vec = ground.state
     space = vec.space
-    n = params.n_atoms
     mop = fock.m_operator(space, params.config)
     m_mean = vec.expectation(mop).real
     m_var = vec.expectation(mop @ mop).real - m_mean**2
@@ -242,21 +198,12 @@ def _exact_columns(params: ModelParams, nu_max: int | None) -> dict:
     dist = vec.photon_distribution()
     nus = np.arange(dist.size)
     dist_mean = float(nus @ dist)
+    one = sacs.OneBodyExpectations(a11, a22, a33, dist_mean)
+    q_m = (m_var / m_mean - 1.0) if m_mean > 1e-12 else None
+    entropy = 1.0 - float(np.sum(np.abs(rho) ** 2))
     dist_var = float(nus**2 @ dist) - dist_mean**2
-    return {
-        "energy": ground.energy / n,
-        "photons": dist_mean / n,
-        "a11": a11 / n,
-        "a22": a22 / n,
-        "a33": a33 / n,
-        "m_mean": m_mean,
-        "m_var": m_var,
-        "q_m": (m_var / m_mean - 1.0) if m_mean > 1e-12 else None,
-        "entropy": 1.0 - float(np.sum(np.abs(rho) ** 2)),
-        "dist_mean": dist_mean,
-        "dist_std": math.sqrt(max(dist_var, 0.0)),
-        "parity": float(ground.sector.sign),
-    }
+    obs = sacs.StateObservables(ground.energy, one, dist_var, m_mean, m_var, q_m, entropy)
+    return {**_columns(params.n_atoms, obs), "parity": float(ground.sector.sign)}
 
 
 def _evaluate_point(task):
@@ -268,10 +215,8 @@ def _evaluate_point(task):
     for approx in approxes:
         if approx == "coherent":
             cols = _coherent_columns(params, crit)
-        elif approx == "even":
-            cols = _sacs_columns(params, crit, ParityBranch.EVEN)
-        elif approx == "odd":
-            cols = _sacs_columns(params, crit, ParityBranch.ODD)
+        elif approx in ("even", "odd"):
+            cols = _sacs_columns(params, crit, ParityBranch[approx.upper()])
         else:
             cols = _exact_columns(params, nu_max)
             row["exact_parity"] = cols["parity"]
@@ -303,9 +248,7 @@ def _emit(args, metadata: dict, columns: list[str], rows: list[list]) -> None:
         payload = {
             "metadata": metadata,
             "columns": columns,
-            "rows": [
-                [None if v is None else v for v in row] for row in rows
-            ],
+            "rows": rows,
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
@@ -334,6 +277,18 @@ def _base_metadata(args, command: str) -> dict:
         "rwa": args.rwa,
         "units": UNITS_NOTE,
     }
+
+
+def _single_point(args, parser, command: str) -> tuple[ModelParams, dict]:
+    """Parameters and metadata of a command that takes one coupling point."""
+    mu = _parse_axis(args.mu, "--mu")
+    theta = _parse_axis(args.theta, "--theta")
+    atoms = _parse_atoms(args.n_atoms)
+    if len(mu) > 1 or len(theta) > 1 or len(atoms) > 1:
+        parser.error(f"{command} takes single --mu, --theta and --n-atoms values")
+    metadata = _base_metadata(args, command)
+    metadata.update({"mu": mu[0], "theta": theta[0], "n_atoms": atoms[0]})
+    return _make_params(args, mu[0], theta[0], atoms[0]), metadata
 
 
 def cmd_sweep(args, parser) -> int:
@@ -451,60 +406,29 @@ def cmd_phase_boundary(args, parser) -> int:
 
 
 def cmd_photon_dist(args, parser) -> int:
-    mu_axis = _parse_axis(args.mu, "--mu")
-    theta_axis = _parse_axis(args.theta, "--theta")
-    atoms_axis = _parse_atoms(args.n_atoms)
-    if len(mu_axis) > 1 or len(theta_axis) > 1 or len(atoms_axis) > 1:
-        parser.error("photon-dist takes single --mu, --theta and --n-atoms values")
-    try:
-        vp = vconfig.VParams(
-            mu=mu_axis[0], theta=theta_axis[0], n_atoms=atoms_axis[0], rwa=args.rwa
-        )
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    flags = (args.omega, args.omega1, args.omega2, args.omega3)
-    if args.atom_config != "v" or flags != (vp.omega, vp.omega1, vp.omega3, vp.omega3):
-        raise argparse.ArgumentTypeError(
-            f"photon-dist tabulates only the V scheme at omega = {vp.omega:g}, "
-            f"omega1 = {vp.omega1:g}, omega2 = omega3 = {vp.omega3:g}"
-        )
+    params, metadata = _single_point(args, parser, "photon-dist")
     approxes = args.branch
-    if vp.regime() is Regime.NORMAL:
-        top = 4
-    else:
-        nb = vconfig.nu_bar(vp)
-        top = int(math.ceil(nb + 12.0 * math.sqrt(nb + 1.0) + 25.0))
+    point = surface.minimize_surface(params).as_point()
+    alpha_sq = abs(point.alpha) ** 2
+    top = int(math.ceil(alpha_sq + 12.0 * math.sqrt(alpha_sq + 1.0) + 25.0))
     if args.nu_max is not None:
         top = args.nu_max
+    if args.fit and top < 3:
+        raise argparse.ArgumentTypeError(f"--fit needs at least 4 rows, got --nu-max {top}")
     nus = np.arange(top + 1)
 
     tables = {}
     for approx in approxes:
         if approx == "exact":
-            result = fock.converged_ground_states(vp.to_model_params())
-            dist = result.global_ground.state.photon_distribution()
-            padded = np.zeros(top + 1)
-            upto = min(top + 1, dist.size)
-            padded[:upto] = dist[:upto]
-            tables[approx] = padded
+            dist = fock.converged_ground_states(params).global_ground.state.photon_distribution()
+            tables[approx] = np.pad(dist[: top + 1], (0, max(top + 1 - dist.size, 0)))
+        elif approx == "coherent":
+            tables[approx] = sacs.poisson_distribution(alpha_sq, nus)
         else:
-            name = {
-                "coherent": vconfig.Approximation.COHERENT,
-                "even": vconfig.Approximation.SACS_EVEN,
-                "odd": vconfig.Approximation.SACS_ODD,
-            }[approx]
-            tables[approx] = vconfig.photon_dist_v(vp, name, nus)
+            branch = ParityBranch[approx.upper()]
+            tables[approx] = sacs.photon_distribution(params, point, branch, nus)
 
-    metadata = _base_metadata(args, "photon-dist")
-    metadata.update(
-        {
-            "mu": mu_axis[0],
-            "theta": theta_axis[0],
-            "n_atoms": atoms_axis[0],
-            "nu_max": top,
-            "branch": ",".join(approxes),
-        }
-    )
+    metadata.update({"nu_max": top, "branch": ",".join(approxes)})
     if args.fit:
         for approx in approxes:
             mean, sigma = vconfig.fit_gaussian(nus, tables[approx])
@@ -520,12 +444,7 @@ def cmd_photon_dist(args, parser) -> int:
 
 
 def cmd_spectrum(args, parser) -> int:
-    mu_axis = _parse_axis(args.mu, "--mu")
-    theta_axis = _parse_axis(args.theta, "--theta")
-    atoms_axis = _parse_atoms(args.n_atoms)
-    if len(mu_axis) > 1 or len(theta_axis) > 1 or len(atoms_axis) > 1:
-        parser.error("spectrum takes single --mu, --theta and --n-atoms values")
-    params = _make_params(args, mu_axis[0], theta_axis[0], atoms_axis[0])
+    params, metadata = _single_point(args, parser, "spectrum")
     nu_max = args.nu_max if args.nu_max is not None else 120
     space = _checked_space(params.n_atoms, nu_max)
     rows = []
@@ -534,16 +453,7 @@ def cmd_spectrum(args, parser) -> int:
         rows.extend(
             [branch.name.lower(), idx, float(val)] for idx, val in enumerate(values)
         )
-    metadata = _base_metadata(args, "spectrum")
-    metadata.update(
-        {
-            "mu": mu_axis[0],
-            "theta": theta_axis[0],
-            "n_atoms": atoms_axis[0],
-            "nu_max": nu_max,
-            "eigenvalues_per_sector": args.k,
-        }
-    )
+    metadata.update({"nu_max": nu_max, "eigenvalues_per_sector": args.k})
     _emit(args, metadata, ["sector", "index", "energy"], rows)
     return EXIT_OK
 
@@ -647,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(boundary, "0.05:3", "bracket lo:hi for the bisection")
     boundary.add_argument(
-        "--tol", type=_checked(float, lambda v: v > 0, "a number > 0"), default=1e-6,
+        "--tol", type=_checked(float, lambda v: 0 < v < math.inf, "a finite number > 0"),
+        default=1e-6,
         help="bisection tolerance in the coupling",
     )
     boundary.set_defaults(func=cmd_phase_boundary)
@@ -657,9 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="photon-number distribution table",
         description=(
             "Photon-number table P(nu) of the parity-adapted and product "
-            "trial states at their shared minimum (closed forms, fixed "
-            "frequency frame), optionally with the exact ground state and "
-            "a least-squares normal-curve fit."
+            "trial states at their shared surface minimum (closed forms, "
+            "any scheme and frequency frame), optionally with the exact "
+            "ground state and a least-squares normal-curve fit."
         ),
     )
     _add_common(dist, "3.0", "coupling magnitude (single value)")

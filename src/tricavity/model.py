@@ -98,6 +98,9 @@ class ModelParams:
     rwa: bool = False
 
     def __post_init__(self):
+        values = (self.omega, *self.level_energies, self.mu12, self.mu13, self.mu23)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"frequencies and couplings must be finite, got {values}")
         if self.omega <= 0:
             raise ValueError(f"field frequency must be positive, got {self.omega}")
         if not (self.omega1 <= self.omega2 <= self.omega3):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 from .errors import DegenerateState, IndeterminateQ
 from .model import (
@@ -439,3 +440,89 @@ def reduced_density_matrix(sp: SacsPoint) -> AtomicDensityMatrix:
 def linear_entropy(sp: SacsPoint) -> float:
     """1 - tr(rho^2) of the matter reduced density matrix."""
     return 1.0 - reduced_density_matrix(sp).purity()
+
+
+class StateObservables(NamedTuple):
+    """Observables of one state; totals, not per atom."""
+
+    energy: float
+    one_body: OneBodyExpectations
+    photon_var: float
+    m_mean: float
+    m_var: float
+    q_m: float | None  # None where Q is 0/0
+    entropy: float
+
+
+# Amplitudes up to this radius count as the origin, as in the boundary
+# bisection: there the closed forms lose ~1e-16/eps^2 to cancellation,
+# while the epsilon -> 0 limit is off by ~eps^2.
+_ORIGIN_RADIUS = 1e-6
+
+
+def _at_origin(point: CoherentPoint) -> bool:
+    return max(abs(point.alpha), abs(point.gamma2), abs(point.gamma3)) <= _ORIGIN_RADIUS
+
+
+def _origin_limit(params: ModelParams, branch: ParityBranch) -> StateObservables:
+    """The epsilon -> 0 limit of the lowest SACS of a branch at the origin.
+
+    Even: the vacuum. Odd: the ground state of the one-excitation block,
+    one photon or one atom in a level of excitation weight 1, so M = 1.
+    Counter-rotating terms change M by 2, so the RWA leaves the block as is.
+    """
+    n, w1 = params.n_atoms, params.omega1
+    if branch is ParityBranch.EVEN:
+        vacuum = OneBodyExpectations(float(n), 0.0, 0.0, 0.0)
+        return StateObservables(n * w1, vacuum, 0.0, 0.0, 0.0, 1.0, 0.0)
+    levels = [j for j, w in zip((2, 3), excitation_weights(params.config)) if w == 1]
+    block = np.diag([params.omega] + [params.level_energies[j - 1] - w1 for j in levels])
+    block[0, 1:] = block[1:, 0] = [-params.coupling(1, j) for j in levels]
+    values, vectors = np.linalg.eigh(block)
+    p = np.zeros(3)  # weights of the photon and of levels 2 and 3
+    p[[0] + [j - 1 for j in levels]] = vectors[:, 0] ** 2
+    one = OneBodyExpectations(n - p[1] - p[2], p[1], p[2], p[0])
+    entropy = 1.0 - p[0] ** 2 - (1.0 - p[0]) ** 2
+    return StateObservables(n * w1 + values[0], one, p[0] * (1.0 - p[0]), 1.0, 0.0, -1.0, entropy)
+
+
+def branch_observables(
+    params: ModelParams, point: CoherentPoint, branch: ParityBranch
+) -> StateObservables:
+    """The SACS of ``branch`` at a surface minimum; its limit at the origin."""
+    if _at_origin(point):
+        return _origin_limit(params, branch)
+    sp = SacsPoint(point, branch, params.config, params.n_atoms)
+    first, second = expect_photon_moments(sp)
+    mom = expect_m_moments(sp)
+    try:
+        q_m = mom.q_mandel
+    except IndeterminateQ:
+        q_m = None
+    return StateObservables(
+        sacs_energy(params, sp), expect_one_body(sp), second - first**2,
+        mom.mean, mom.variance, q_m, linear_entropy(sp),
+    )
+
+
+def poisson_distribution(mean: float, nus) -> np.ndarray:
+    """Poisson probabilities of the photon numbers ``nus`` (delta_0 at mean 0)."""
+    return np.exp(xlogy(nus, mean) - gammaln(np.asarray(nus) + 1.0) - mean)
+
+
+def photon_distribution(
+    params: ModelParams, point: CoherentPoint, branch: ParityBranch, nus
+) -> np.ndarray:
+    """P(nu) of the SACS of ``branch`` at a surface minimum; the limit at the origin.
+
+    Poisson(|alpha|^2) (1 + sigma (-1)^nu t^N) / (1 + sigma s t^N).
+    """
+    nus = np.asarray(nus)
+    if _at_origin(point):
+        p1 = _origin_limit(params, branch).one_body.n_photons
+        return np.select([nus == 0, nus == 1], [1.0 - p1, p1])
+    f = _Frame(SacsPoint(point, branch, params.config, params.n_atoms))
+    # t^N - 1 without cancellation, so 1 - t^N stays accurate near t = 1.
+    tn_minus_one = math.expm1(f.n * f._log_t) if f._log_t is not None else f.t**f.n - 1.0
+    numerator = np.where(f.sigma * (-1) ** nus > 0, 2.0 + tn_minus_one, -tn_minus_one)
+    return poisson_distribution(f.alpha_sq, nus) * numerator / (0.5 * f.kernel_checked())

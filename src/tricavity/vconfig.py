@@ -10,7 +10,9 @@ mu/2), which puts the RWA boundary at twice the coupling.
 Functions marked "printed form" evaluate fixed-scaling (Omega = omega2 =
 omega3 = 1, omega1 = 0) closed expressions that are useful for comparison
 but are not all consistent with direct evaluation; see `checks` for the
-informational comparisons.
+informational comparisons. The command line uses only `mu_critical` and
+`fit_gaussian`; `photon_dist_v`, `distribution_moments` and
+`limit_observables` remain only as printed-form references for `checks`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .errors import IndeterminateQ
+from .errors import NonConvergence
 from .model import (
     AtomicConfiguration,
     CoherentPoint,
@@ -269,28 +271,11 @@ def mandel_q_m(vp: VParams, approx: Approximation) -> float:
     Normal regime: the parity branches take their limiting values +1 (even)
     and -1 (odd); the coherent value is 0/0 there (IndeterminateQ).
     """
-    if vp.regime() is Regime.NORMAL:
-        if approx is Approximation.SACS_EVEN:
-            return 1.0
-        if approx is Approximation.SACS_ODD:
-            return -1.0
-        if approx is Approximation.COHERENT:
-            raise IndeterminateQ("coherent Q is 0/0 at zero excitation")
-        raise ValueError(f"no closed-form Q for {approx.value}")
     params = vp.to_model_params()
     point = critical_coherent_point(vp)
     if approx is Approximation.COHERENT:
-        rep = surface_mod.coherent_expectations(params, point)
-        return rep.q_mandel
-    if approx in (Approximation.SACS_EVEN, Approximation.SACS_ODD):
-        sp = sacs_mod.SacsPoint(
-            point=point,
-            branch=approx.branch,
-            config=AtomicConfiguration.V,
-            n_atoms=vp.n_atoms,
-        )
-        return sacs_mod.expect_m_moments(sp).q_mandel
-    raise ValueError(f"no closed-form Q for {approx.value}")
+        return surface_mod.coherent_expectations(params, point).q_mandel
+    return sacs_mod.branch_observables(params, point, approx.branch).q_m
 
 
 def linear_entropy_v(vp: VParams, approx: Approximation) -> float:
@@ -344,7 +329,10 @@ def fit_gaussian(nu_values, probabilities) -> tuple[float, float]:
     def gauss(x, amp, mean, sigma):
         return amp * np.exp(-0.5 * ((x - mean) / sigma) ** 2)
 
-    popt, _ = curve_fit(gauss, nus, probs, p0=(float(probs.max()), mean0, sigma0))
+    try:
+        popt, _ = curve_fit(gauss, nus, probs, p0=(float(probs.max()), mean0, sigma0))
+    except RuntimeError as exc:
+        raise NonConvergence(f"normal-curve fit failed: {exc}") from None
     return float(popt[1]), abs(float(popt[2]))
 
 
@@ -354,7 +342,8 @@ def limit_observables(vp: VParams, approx: Approximation) -> dict:
     Energies are per atom; populations and photon numbers are per atom; M
     moments are totals. The odd branch carries the epsilon-limit state
     (single excitation shared between field and matter along the critical
-    direction), whose energy the printed closed form fixes at 1/(2N).
+    direction), whose energy the printed closed form fixes at 1/(2N), below
+    the actual limit (1 - mu)/N of `sacs.branch_observables` at the origin.
     """
     if vp.regime() is not Regime.NORMAL:
         raise ValueError("limit observables apply to the normal regime only")

@@ -62,7 +62,8 @@ class TestSweep:
         proc = run_cli("sweep", "--mu", "0.3", "--branch", "even,odd", "--outputs", "energy")
         _, header, rows = parse_csv(proc.stdout)
         assert column(header, rows, "even_energy") == [0.0]
-        assert abs(column(header, rows, "odd_energy")[0] - 0.25) < 1e-12
+        # (1 - mu)/N: the one-excitation ground, above the exact odd ground 0.3131.
+        assert abs(column(header, rows, "odd_energy")[0] - 0.35) < 1e-12
         proc = run_cli("sweep", "--mu", "1", "--branch", "coherent", "--outputs", "energy")
         _, header, rows = parse_csv(proc.stdout)
         assert abs(column(header, rows, "coherent_energy")[0] + 0.5625) < 1e-10
@@ -118,6 +119,15 @@ class TestSweep:
         assert column(header, rows, "exact_energy") == [0.0]
         assert column(header, rows, "exact_parity") == [1.0]
 
+    @pytest.mark.parametrize("flags", [("--omega", "2"), ("--atom-config", "xi")])
+    def test_normal_regime_branches_in_other_frames(self, flags):
+        proc = run_cli("sweep", "--mu", "0.3", "--branch", "even,odd", *flags)
+        _, header, rows = parse_csv(proc.stdout)
+        assert not any(cell == "NA" for row in rows for cell in row)
+        assert column(header, rows, "even_q_m") == [1.0]
+        assert column(header, rows, "odd_q_m") == [-1.0]
+        assert column(header, rows, "odd_m_mean") == [1.0]
+
     def test_two_grids_rejected(self):
         run_cli("sweep", "--mu", "0:1:3", "--theta", "0:1:3", expect=2)
 
@@ -141,13 +151,16 @@ class TestSweep:
         ("sweep", "--mu", "1", "--omega", "-1"),
         ("photon-dist", "--mu", "3", "--nu-max", "-3"),
         ("photon-dist", "--mu", "-1"),
-        ("photon-dist", "--mu", "3", "--omega", "2"),
-        ("photon-dist", "--mu", "3", "--omega1", "0.2"),
-        ("photon-dist", "--mu", "3", "--omega2", "0.5"),
-        ("photon-dist", "--mu", "3", "--omega3", "1.7"),
-        ("photon-dist", "--mu", "3", "--atom-config", "xi"),
+        ("spectrum", "--mu", "nan"),
+        ("photon-dist", "--mu", "inf"),
+        ("sweep", "--mu", "nan"),
+        ("sweep", "--mu", "1", "--omega", "nan"),
+        ("sweep", "--mu", "1", "--omega", "inf"),
         ("phase-boundary", "--mu", "0.1:1", "--tol", "0"),
         ("phase-boundary", "--mu", "1:0.1"),
+        ("sweep", "--mu", "1", "--theta", "nan"),
+        ("photon-dist", "--nu-max", "2", "--fit"),
+        ("phase-boundary", "--tol", "inf"),
     ],
 )
 def test_bad_input_exits_2(args):
@@ -219,6 +232,39 @@ class TestPhotonDist:
         for approx in ("even", "odd", "coherent"):
             assert abs(fits[f"fit_{approx}_mean"] - 17.74) < 0.36
             assert abs(fits[f"fit_{approx}_sigma"] - 4.23) < 0.13
+
+    def test_failed_fit_is_numerical_failure(self):
+        # Below the boundary the even and coherent tables are delta_0, which
+        # no normal curve fits.
+        proc = run_cli("photon-dist", "--mu", "0.3", "--fit", expect=3)
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--omega", "2"),
+            ("--omega1", "0.2"),
+            ("--atom-config", "xi"),
+            ("--atom-config", "lambda", "--rwa"),
+        ],
+    )
+    def test_frame_and_scheme_flags_are_honoured(self, flags):
+        from tricavity import cli, fock, surface
+        from tricavity.model import ParityBranch
+
+        proc = run_cli("photon-dist", "--mu", "3", *flags)
+        _, header, rows = parse_csv(proc.stdout)
+        args = cli.build_parser().parse_args(["photon-dist", "--mu", "3", *flags])
+        params = cli._make_params(args, 3.0, math.pi / 4, 2)
+        point = surface.minimize_surface(params).as_point()
+        space = fock.TruncatedSpace(2, fock.suggested_nu_max(point.alpha))
+        for branch in ParityBranch:
+            vec = fock.build_sacs_vector(point, branch, params.config, space)
+            oracle = vec.photon_distribution()
+            table = np.array(column(header, rows, f"p_{branch.name.lower()}"))
+            size = max(oracle.size, table.size)
+            oracle, table = (np.pad(p, (0, size - p.size)) for p in (oracle, table))
+            assert np.max(np.abs(table - oracle)) < 1e-12
 
     def test_exact_column_available(self):
         proc = run_cli(
