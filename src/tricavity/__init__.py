@@ -15,6 +15,7 @@ from .model import (
     ModelParams,
     ParityBranch,
     Regime,
+    StateObservables,
     atomic_parity_flip,
     couplings_from_magnitude,
     excitation_weights,
@@ -25,7 +26,6 @@ from .model import (
 from .sacs import SacsPoint
 from .surface import (
     CriticalPoint,
-    ObservableReport,
     boundary_coupling,
     coherent_expectations,
     energy,
@@ -51,10 +51,10 @@ __all__ = [
     "ModelParams",
     "NoTransitionFound",
     "NonConvergence",
-    "ObservableReport",
     "ParityBranch",
     "Regime",
     "SacsPoint",
+    "StateObservables",
     "TailTooLarge",
     "TricavityError",
     "VParams",

@@ -24,11 +24,12 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__, checks, fock, sacs, surface, vconfig
-from .errors import DegenerateState, IndeterminateQ, TricavityError
+from .errors import DegenerateState, TricavityError
 from .model import (
     AtomicConfiguration,
     ModelParams,
     ParityBranch,
+    StateObservables,
     couplings_from_magnitude,
 )
 
@@ -144,7 +145,7 @@ def _checked_space(n_atoms: int, nu_max: int) -> fock.TruncatedSpace:
         raise argparse.ArgumentTypeError(f"--nu-max {nu_max}: {exc}") from None
 
 
-def _columns(n: int, obs: sacs.StateObservables) -> dict:
+def _columns(n: int, obs: StateObservables) -> dict:
     """Sweep columns of one state: energy, photons and populations per atom."""
     one = obs.one_body
     return {
@@ -162,17 +163,6 @@ def _columns(n: int, obs: sacs.StateObservables) -> dict:
     }
 
 
-def _coherent_columns(params: ModelParams, crit: surface.CriticalPoint) -> dict:
-    rep = surface.coherent_expectations(params, crit.as_point())
-    try:
-        q_m = rep.q_mandel
-    except IndeterminateQ:
-        q_m = None
-    one = sacs.OneBodyExpectations(*rep.populations, rep.n_photons)
-    obs = sacs.StateObservables(rep.energy, one, rep.var_photons, rep.m_mean, rep.m_var, q_m, 0.0)
-    return _columns(params.n_atoms, obs)
-
-
 def _sacs_columns(params: ModelParams, crit: surface.CriticalPoint, branch: ParityBranch) -> dict:
     try:
         obs = sacs.branch_observables(params, crit.as_point(), branch)
@@ -188,21 +178,7 @@ def _exact_columns(params: ModelParams, nu_max: int | None) -> dict:
     else:
         result = fock.converged_ground_states(params)
     ground = result.global_ground
-    vec = ground.state
-    space = vec.space
-    mop = fock.m_operator(space, params.config)
-    m_mean = vec.expectation(mop).real
-    m_var = vec.expectation(mop @ mop).real - m_mean**2
-    rho = vec.atomic_density_matrix()
-    a11, a22, a33 = np.array(space.occupations).T @ np.diag(rho).real
-    dist = vec.photon_distribution()
-    nus = np.arange(dist.size)
-    dist_mean = float(nus @ dist)
-    one = sacs.OneBodyExpectations(a11, a22, a33, dist_mean)
-    q_m = (m_var / m_mean - 1.0) if m_mean > 1e-12 else None
-    entropy = 1.0 - float(np.sum(np.abs(rho) ** 2))
-    dist_var = float(nus**2 @ dist) - dist_mean**2
-    obs = sacs.StateObservables(ground.energy, one, dist_var, m_mean, m_var, q_m, entropy)
+    obs = fock.ground_observables(ground, params.config)
     return {**_columns(params.n_atoms, obs), "parity": float(ground.sector.sign)}
 
 
@@ -214,7 +190,8 @@ def _evaluate_point(task):
     crit = surface.minimize_surface(params) if need_surface else None
     for approx in approxes:
         if approx == "coherent":
-            cols = _coherent_columns(params, crit)
+            obs = surface.coherent_expectations(params, crit.as_point())
+            cols = _columns(params.n_atoms, obs)
         elif approx in ("even", "odd"):
             cols = _sacs_columns(params, crit, ParityBranch[approx.upper()])
         else:
@@ -445,15 +422,14 @@ def cmd_photon_dist(args, parser) -> int:
 
 def cmd_spectrum(args, parser) -> int:
     params, metadata = _single_point(args, parser, "spectrum")
-    nu_max = args.nu_max if args.nu_max is not None else 120
-    space = _checked_space(params.n_atoms, nu_max)
+    space = _checked_space(params.n_atoms, args.nu_max)
     rows = []
     for branch in (ParityBranch.EVEN, ParityBranch.ODD):
         values = fock.sector_spectrum(params, space, branch, k=args.k)
         rows.extend(
             [branch.name.lower(), idx, float(val)] for idx, val in enumerate(values)
         )
-    metadata.update({"nu_max": nu_max, "eigenvalues_per_sector": args.k})
+    metadata.update({"nu_max": args.nu_max, "eigenvalues_per_sector": args.k})
     _emit(args, metadata, ["sector", "index", "energy"], rows)
     return EXIT_OK
 
@@ -497,15 +473,14 @@ def _add_common(sub: argparse.ArgumentParser, mu_default: str, mu_help: str) -> 
     sub.add_argument(
         "--rwa", action="store_true", help="drop the counter-rotating coupling"
     )
+
+
+def _add_nu_max(sub: argparse.ArgumentParser, default: int | None, help_text: str) -> None:
     sub.add_argument(
         "--nu-max",
         type=_checked(int, lambda v: v >= 0, "an integer >= 0"),
-        default=None,
-        help="photon cutoff override (default: auto-converged)",
-    )
-    sub.add_argument(
-        "--jobs", type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=1,
-        help="parallel workers for grid points",
+        default=default,
+        help=help_text,
     )
 
 
@@ -532,6 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_common(sweep, "0:2:201", "coupling magnitude (single value or range)")
+    _add_nu_max(sweep, None, "photon cutoff of the exact branch (default: auto-converged)")
+    sweep.add_argument(
+        "--jobs", type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=1,
+        help="parallel workers for grid points",
+    )
     sweep.add_argument(
         "--branch",
         type=lambda s: _parse_list(s, "--branch", APPROX_ORDER),
@@ -574,6 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_common(dist, "3.0", "coupling magnitude (single value)")
+    _add_nu_max(dist, None, "last photon number of the table (default: from the surface minimum)")
     dist.add_argument(
         "--branch",
         type=lambda s: _parse_list(s, "--branch", APPROX_ORDER),
@@ -597,6 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_common(spectrum, "1.0", "coupling magnitude (single value)")
+    _add_nu_max(spectrum, 120, "photon cutoff (default 120, fixed and not certified)")
     spectrum.add_argument(
         "--k", type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=6,
         help="eigenvalues per sector",

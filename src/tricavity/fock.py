@@ -24,8 +24,11 @@ from .model import (
     AtomicConfiguration,
     CoherentPoint,
     ModelParams,
+    OneBodyExpectations,
     ParityBranch,
+    StateObservables,
     excitation_weights,
+    mandel_q,
     symmetric_occupations,
 )
 
@@ -323,6 +326,26 @@ class SectorGround:
     sector: ParityBranch
 
 
+def ground_observables(ground: SectorGround, config: AtomicConfiguration) -> StateObservables:
+    """Observables of an exact sector ground state (totals, not per atom)."""
+    vec = ground.state
+    space = vec.space
+    mop = m_operator(space, config)
+    m_mean = vec.expectation(mop).real
+    m_var = vec.expectation(mop @ mop).real - m_mean**2
+    rho = vec.atomic_density_matrix()
+    a11, a22, a33 = np.array(space.occupations).T @ np.diag(rho).real
+    dist = vec.photon_distribution()
+    nus = np.arange(dist.size)
+    dist_mean = float(nus @ dist)
+    one = OneBodyExpectations(a11, a22, a33, dist_mean)
+    entropy = 1.0 - float(np.sum(np.abs(rho) ** 2))
+    dist_var = float(nus**2 @ dist) - dist_mean**2
+    return StateObservables(
+        ground.energy, one, dist_var, m_mean, m_var, mandel_q(m_mean, m_var), entropy
+    )
+
+
 @dataclass
 class GroundStateResult:
     even: SectorGround
@@ -381,18 +404,28 @@ def ground_states(
 
 
 def converged_ground_states(params: ModelParams) -> GroundStateResult:
-    """Double the cutoff from NU_MAX_START until the certificate holds."""
-    nu_max = NU_MAX_START
-    while True:
+    """Double the cutoff from NU_MAX_START until the certificate holds.
+
+    Raises CutoffNotConverged once the next cutoff passes NU_MAX_LIMIT or
+    its basis would pass MAX_DIMENSION.
+    """
+    atomic_dimension = len(symmetric_occupations(params.n_atoms))
+    nu_max, delta = NU_MAX_START, None
+    while nu_max <= NU_MAX_LIMIT:
+        dimension = (nu_max + 1) * atomic_dimension
+        if dimension > MAX_DIMENSION:
+            raise CutoffNotConverged(
+                f"no converged cutoff below the basis limit {MAX_DIMENSION}: "
+                f"nu_max={nu_max} needs dimension {dimension}",
+                delta=delta,
+            )
         try:
             return ground_states(params, TruncatedSpace(params.n_atoms, nu_max))
         except CutoffNotConverged as exc:
-            nu_max *= 2
-            if nu_max > NU_MAX_LIMIT:
-                raise CutoffNotConverged(
-                    f"no converged cutoff found up to nu_max={NU_MAX_LIMIT}",
-                    delta=exc.delta,
-                ) from exc
+            nu_max, delta = 2 * nu_max, exc.delta
+    raise CutoffNotConverged(
+        f"no converged cutoff found up to nu_max={NU_MAX_LIMIT}", delta=delta
+    )
 
 
 def sector_spectrum(

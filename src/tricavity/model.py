@@ -20,6 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 
 class AtomicConfiguration(Enum):
@@ -244,3 +245,27 @@ def symmetric_occupations(n_atoms: int) -> list[tuple[int, int, int]]:
         for n3 in range(n_atoms + 1 - n2):
             out.append((n_atoms - n2 - n3, n2, n3))
     return out
+
+
+class OneBodyExpectations(NamedTuple):
+    a11: float
+    a22: float
+    a33: float
+    n_photons: float
+
+
+class StateObservables(NamedTuple):
+    """Observables of one state; totals, not per atom."""
+
+    energy: float
+    one_body: OneBodyExpectations
+    photon_var: float
+    m_mean: float
+    m_var: float
+    q_m: float | None  # None where <M> = 0
+    entropy: float
+
+
+def mandel_q(m_mean: float, m_var: float) -> float | None:
+    """Q = Var(M)/<M> - 1 of the total excitation; None exactly when <M> = 0."""
+    return None if m_mean == 0.0 else m_var / m_mean - 1.0

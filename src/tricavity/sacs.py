@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -25,11 +25,15 @@ from .model import (
     AtomicConfiguration,
     CoherentPoint,
     ModelParams,
+    OneBodyExpectations,
     ParityBranch,
+    StateObservables,
     atomic_parity_flip,
     excitation_weights,
+    mandel_q,
     symmetric_occupations,
 )
+from .surface import ORIGIN_RADIUS
 
 # Norm-squared (in reduced units) below which a SACS is treated as the zero
 # vector; the odd branch at the origin is the canonical case.
@@ -134,13 +138,6 @@ def kernel(
 def kernel_reduced(sp: SacsPoint) -> float:
     """Norm squared divided by exp(|alpha|^2) (gamma*.gamma)^N."""
     return _Frame(sp).kernel_reduced()
-
-
-class OneBodyExpectations(NamedTuple):
-    a11: float
-    a22: float
-    a33: float
-    n_photons: float
 
 
 def expect_one_body(sp: SacsPoint) -> OneBodyExpectations:
@@ -248,29 +245,6 @@ def expect_photon_population_product(sp: SacsPoint, i: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class TwoBodyExpectations:
-    population_squares: tuple[float, float, float]
-    photon_number_squared: float
-    transitions: dict
-    products: dict
-
-
-def expect_two_body(
-    sp: SacsPoint,
-    transitions: Iterable[tuple[int, int]] = (),
-    products: Iterable[tuple[int, int, int, int]] = (),
-) -> TwoBodyExpectations:
-    """Second-moment bundle: <A_ii^2>, <(a'a)^2>, plus requested <A_ij> and <A_ij A_kl>."""
-    _, second = expect_photon_moments(sp)
-    return TwoBodyExpectations(
-        population_squares=expect_population_squares(sp),
-        photon_number_squared=second,
-        transitions={(i, j): expect_a(sp, i, j) for i, j in transitions},
-        products={idx: expect_a_product(sp, *idx) for idx in products},
-    )
-
-
 class InteractionPair(NamedTuple):
     a_ij_a: complex       # <A_ij a>
     dipole: float         # <(A_ij + A_ji)(a + a')>
@@ -331,9 +305,10 @@ class MMoments:
 
     @property
     def q_mandel(self) -> float:
-        if self.mean == 0.0:
+        q = mandel_q(self.mean, self.variance)
+        if q is None:
             raise IndeterminateQ("<M> = 0, Q undefined")
-        return self.variance / self.mean - 1.0
+        return q
 
 
 def expect_m_moments(sp: SacsPoint) -> MMoments:
@@ -442,26 +417,10 @@ def linear_entropy(sp: SacsPoint) -> float:
     return 1.0 - reduced_density_matrix(sp).purity()
 
 
-class StateObservables(NamedTuple):
-    """Observables of one state; totals, not per atom."""
-
-    energy: float
-    one_body: OneBodyExpectations
-    photon_var: float
-    m_mean: float
-    m_var: float
-    q_m: float | None  # None where Q is 0/0
-    entropy: float
-
-
-# Amplitudes up to this radius count as the origin, as in the boundary
-# bisection: there the closed forms lose ~1e-16/eps^2 to cancellation,
-# while the epsilon -> 0 limit is off by ~eps^2.
-_ORIGIN_RADIUS = 1e-6
-
-
 def _at_origin(point: CoherentPoint) -> bool:
-    return max(abs(point.alpha), abs(point.gamma2), abs(point.gamma3)) <= _ORIGIN_RADIUS
+    # Within this radius the closed forms lose ~1e-16/eps^2 to cancellation,
+    # while the epsilon -> 0 limit is off by ~eps^2.
+    return max(abs(point.alpha), abs(point.gamma2), abs(point.gamma3)) <= ORIGIN_RADIUS
 
 
 def _origin_limit(params: ModelParams, branch: ParityBranch) -> StateObservables:
@@ -495,13 +454,9 @@ def branch_observables(
     sp = SacsPoint(point, branch, params.config, params.n_atoms)
     first, second = expect_photon_moments(sp)
     mom = expect_m_moments(sp)
-    try:
-        q_m = mom.q_mandel
-    except IndeterminateQ:
-        q_m = None
     return StateObservables(
         sacs_energy(params, sp), expect_one_body(sp), second - first**2,
-        mom.mean, mom.variance, q_m, linear_entropy(sp),
+        mom.mean, mom.variance, mandel_q(mom.mean, mom.variance), linear_entropy(sp),
     )
 
 

@@ -14,13 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .errors import IndeterminateQ, NoTransitionFound, NonConvergence
+from .errors import NoTransitionFound, NonConvergence
 from .model import (
-    AtomicConfiguration,
     CoherentPoint,
     ModelParams,
+    OneBodyExpectations,
+    StateObservables,
     excitation_weights,
+    mandel_q,
 )
+
+# Amplitudes up to this radius count as the origin: the boundary bisection
+# calls a surface minimum normal while its field radius stays within it, and
+# `sacs` evaluates the parity branches there as their epsilon -> 0 limit.
+ORIGIN_RADIUS = 1e-6
 
 
 def coherent_one_body(point: CoherentPoint, n_atoms: int, i: int, j: int) -> complex:
@@ -315,32 +322,12 @@ def minimize_surface(params: ModelParams) -> CriticalPoint:
     return point
 
 
-@dataclass(frozen=True)
-class ObservableReport:
-    """Product-state statistics at a coherent point (totals, not per atom)."""
-
-    energy: float
-    n_photons: float
-    var_photons: float
-    populations: tuple[float, float, float]
-    var_populations: tuple[float, float, float]
-    m_mean: float
-    m_var: float
-
-    @property
-    def q_mandel(self) -> float:
-        """Var(M)/<M> - 1."""
-        if self.m_mean == 0.0:
-            raise IndeterminateQ("<M> = 0, Q undefined")
-        return self.m_var / self.m_mean - 1.0
-
-
-def coherent_expectations(params: ModelParams, point: CoherentPoint) -> ObservableReport:
+def coherent_expectations(params: ModelParams, point: CoherentPoint) -> StateObservables:
     """Statistics of the normalized product trial state.
 
     The atomic populations are multinomial over p_k = |gamma_k|^2 / norm and
     the photon number is Poissonian with mean |alpha|^2, which fixes all the
-    variances below.
+    variances below. A product state leaves the matter pure: entropy 0.
     """
     n = params.n_atoms
     norm = point.atomic_norm_squared()
@@ -356,14 +343,9 @@ def coherent_expectations(params: ModelParams, point: CoherentPoint) -> Observab
         + l3**2 * var_pops[2]
         - 2.0 * l2 * l3 * n * probs[1] * probs[2]
     )
-    return ObservableReport(
-        energy=energy(params, point),
-        n_photons=nbar,
-        var_photons=nbar,
-        populations=pops,
-        var_populations=var_pops,
-        m_mean=m_mean,
-        m_var=m_var,
+    return StateObservables(
+        energy(params, point), OneBodyExpectations(*pops, nbar), nbar,
+        m_mean, m_var, mandel_q(m_mean, m_var), 0.0,
     )
 
 
@@ -372,13 +354,12 @@ def boundary_coupling(
     mu_lo: float,
     mu_hi: float,
     coupling_tol: float = 1e-6,
-    rho_threshold: float = 1e-6,
 ) -> float:
     """Bisect the coupling magnitude where the minimizing field turns on.
 
     ``make_params(mu)`` must return the ModelParams at coupling magnitude
     ``mu``. The transition indicator is the minimizer's field radius
-    exceeding ``rho_threshold``; the returned magnitude is accurate to
+    exceeding ORIGIN_RADIUS; the returned magnitude is accurate to
     ``coupling_tol``.
     """
     if not mu_lo < mu_hi:
@@ -387,7 +368,7 @@ def boundary_coupling(
         raise ValueError("coupling_tol must be positive")
 
     def collective(mu: float) -> bool:
-        return minimize_surface(make_params(mu)).rho > rho_threshold
+        return minimize_surface(make_params(mu)).rho > ORIGIN_RADIUS
 
     if collective(mu_lo):
         raise NoTransitionFound(

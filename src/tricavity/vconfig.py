@@ -265,16 +265,16 @@ def distribution_moments(vp: VParams, approx: Approximation, tail: float = 1e-14
     return mean, second - mean**2
 
 
-def mandel_q_m(vp: VParams, approx: Approximation) -> float:
+def mandel_q_m(vp: VParams, approx: Approximation) -> float | None:
     """Q = Var(M)/<M> - 1 for the approximation at the V minimum.
 
     Normal regime: the parity branches take their limiting values +1 (even)
-    and -1 (odd); the coherent value is 0/0 there (IndeterminateQ).
+    and -1 (odd); the coherent state is the vacuum, <M> = 0, so None.
     """
     params = vp.to_model_params()
     point = critical_coherent_point(vp)
     if approx is Approximation.COHERENT:
-        return surface_mod.coherent_expectations(params, point).q_mandel
+        return surface_mod.coherent_expectations(params, point).q_m
     return sacs_mod.branch_observables(params, point, approx.branch).q_m
 
 

@@ -149,7 +149,7 @@ def test_criterion_05_unit_coupling_anchors():
     n_err = abs(mean - 1.875)
     point = vconfig.critical_coherent_point(vp)
     rep = surface.coherent_expectations(vp.to_model_params(), point)
-    rho_sq_err = abs(abs(point.alpha) ** 2 - rep.n_photons)
+    rho_sq_err = abs(abs(point.alpha) ** 2 - rep.one_body.n_photons)
     crit = surface.minimize_surface(vp.to_model_params())
     rho, rho2, rho3 = vconfig.critical_point_v(vp)
     coord_err = max(

@@ -1,24 +1,51 @@
-"""End-to-end behavior of the command-line interface."""
+"""End-to-end behavior of the command-line interface.
 
+Most commands run in-process through ``cli.main``; the properties of the
+process itself (byte determinism across interpreters, ``--jobs`` workers and
+the ``python -m`` entry point) run in a fresh interpreter.
+"""
+
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from tricavity import cli
+
 CMD = [sys.executable, "-m", "tricavity.cli"]
 
 
-def run_cli(*args, expect: int = 0):
-    proc = subprocess.run(
-        CMD + list(args), capture_output=True, text=True, timeout=300
-    )
+def _check_exit(proc, expect: int):
     assert proc.returncode == expect, (
         f"exit {proc.returncode} (wanted {expect})\nstderr: {proc.stderr[-2000:]}"
     )
     return proc
+
+
+def run_cli(*args, expect: int = 0):
+    """``cli.main(args)`` in-process; an uncaught exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse exits 2 on bad flags
+            code = 0 if exc.code is None else exc.code
+    proc = SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
+    return _check_exit(proc, expect)
+
+
+def run_cli_process(*args, expect: int = 0):
+    """The same command in a fresh ``python -m tricavity.cli`` interpreter."""
+    proc = subprocess.run(
+        CMD + list(args), capture_output=True, text=True, timeout=300
+    )
+    return _check_exit(proc, expect)
 
 
 def parse_csv(text: str):
@@ -47,15 +74,19 @@ class TestSweep:
 
     def test_byte_determinism(self):
         args = ("sweep", "--mu", "0.2:1.4:4", "--branch", "even,odd", "--outputs", "energy,q")
-        first = run_cli(*args).stdout
-        second = run_cli(*args).stdout
+        first = run_cli_process(*args).stdout
+        second = run_cli_process(*args).stdout
         assert first == second
 
     def test_parallel_matches_serial(self):
         args = ("sweep", "--mu", "0.3:1.2:4", "--branch", "coherent,odd", "--outputs", "energy")
-        serial = run_cli(*args).stdout
-        parallel = run_cli(*args, "--jobs", "2").stdout
+        serial = run_cli_process(*args).stdout
+        parallel = run_cli_process(*args, "--jobs", "2").stdout
         assert serial == parallel
+
+    def test_module_entry_point_matches_in_process_run(self):
+        args = ("sweep", "--mu", "0.9", "--branch", "coherent,exact", "--outputs", "energy,q")
+        assert run_cli_process(*args).stdout == run_cli(*args).stdout
 
     def test_expected_values_on_both_sides_of_transition(self):
         run_cli("sweep", "--mu", "0.3:1", "--branch", "coherent", expect=2)
@@ -75,6 +106,13 @@ class TestSweep:
         _, header, rows = parse_csv(proc.stdout)
         assert abs(column(header, rows, "exact_energy")[0] + 0.5771402725761373) < 1e-9
         assert column(header, rows, "exact_parity") == [1.0]
+
+    def test_exact_q_defined_at_tiny_nonzero_excitation(self):
+        # <M> = 5e-15 and Var(M) = 1e-14: Q tends to +1 like the even SACS.
+        proc = run_cli("sweep", "--mu", "1e-7", "--branch", "exact", "--outputs", "m,q")
+        _, header, rows = parse_csv(proc.stdout)
+        assert 0.0 < column(header, rows, "exact_m_mean")[0] < 1e-12
+        assert abs(column(header, rows, "exact_q_m")[0] - 1.0) < 1e-9
 
     def test_json_mirror(self):
         proc = run_cli(
@@ -161,6 +199,10 @@ class TestSweep:
         ("sweep", "--mu", "1", "--theta", "nan"),
         ("photon-dist", "--nu-max", "2", "--fit"),
         ("phase-boundary", "--tol", "inf"),
+        ("spectrum", "--mu", "1", "--k", "1", "--jobs", "3"),
+        ("photon-dist", "--jobs", "3"),
+        ("phase-boundary", "--jobs", "3"),
+        ("phase-boundary", "--nu-max", "5"),
     ],
 )
 def test_bad_input_exits_2(args):
@@ -238,6 +280,15 @@ class TestPhotonDist:
         # no normal curve fits.
         proc = run_cli("photon-dist", "--mu", "0.3", "--fit", expect=3)
         assert "Traceback" not in proc.stderr
+
+    def test_exact_basis_limit_is_numerical_failure(self):
+        # N = 200 needs 41 x 20301 states at the first cutoff, over the limit.
+        proc = run_cli(
+            "photon-dist", "--branch", "exact", "--mu", "0.3", "--n-atoms", "200",
+            expect=3,
+        )
+        assert "Traceback" not in proc.stderr
+        assert "basis limit" in proc.stderr
 
     @pytest.mark.parametrize(
         "flags",

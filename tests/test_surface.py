@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from tricavity import fock
 from tricavity.errors import NoTransitionFound
-from tricavity.model import AtomicConfiguration, CoherentPoint, ModelParams, rwa_coupling_map
+from tricavity.model import (
+    AtomicConfiguration,
+    CoherentPoint,
+    ModelParams,
+    ParityBranch,
+    rwa_coupling_map,
+)
 from tricavity.surface import (
     _field_radius,
     _profile,
@@ -172,7 +179,7 @@ class TestObservables:
             n = int(rng.integers(1, 6))
             p = random_params(rng, config, n)
             rep = coherent_expectations(p, random_point(rng))
-            assert abs(sum(rep.populations) - n) < 1e-12
+            assert abs(sum(rep.one_body[:3]) - n) < 1e-12
 
     def test_photon_statistics_are_poissonian(self):
         rng = np.random.default_rng(137)
@@ -181,8 +188,8 @@ class TestObservables:
             p = random_params(rng, config, int(rng.integers(1, 5)))
             pt = random_point(rng)
             rep = coherent_expectations(p, pt)
-            assert abs(rep.n_photons - abs(pt.alpha) ** 2) < 1e-12
-            assert abs(rep.var_photons - rep.n_photons) < 1e-12
+            assert abs(rep.one_body.n_photons - abs(pt.alpha) ** 2) < 1e-12
+            assert abs(rep.photon_var - rep.one_body.n_photons) < 1e-12
 
     def test_energy_agrees_with_report(self):
         rng = np.random.default_rng(139)
@@ -191,6 +198,39 @@ class TestObservables:
             p = random_params(rng, config, int(rng.integers(1, 5)))
             pt = random_point(rng)
             assert abs(coherent_expectations(p, pt).energy - energy_full(p, pt)) < 1e-10
+
+    @pytest.mark.parametrize("rwa", [False, True])
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_matches_fock_oracle(self, config, rwa):
+        # The even plus the odd parity-adapted vector is the product state
+        # itself; random_params shifts the frame (omega1 > 0, generic levels).
+        rng = np.random.default_rng(149)
+        for _ in range(4):
+            n = int(rng.integers(1, 4))
+            p = random_params(rng, config, n, rwa=rwa)
+            pt = random_point(rng, scale=1.0)
+            space = fock.TruncatedSpace(n, fock.suggested_nu_max(pt.alpha))
+            even, odd = (fock.build_sacs_vector(pt, b, config, space) for b in ParityBranch)
+            vec = fock.StateVector(space, even.data + odd.data)
+            nop = fock.photon_number(space)
+            mop = fock.m_operator(space, config)
+            n_photons = vec.expectation(nop).real
+            m_mean = vec.expectation(mop).real
+            oracle = {
+                "energy": vec.expectation(fock.build_hamiltonian(p, space)).real,
+                "a11": vec.expectation(fock.transition(space, 1, 1)).real,
+                "a22": vec.expectation(fock.transition(space, 2, 2)).real,
+                "a33": vec.expectation(fock.transition(space, 3, 3)).real,
+                "n_photons": n_photons,
+                "photon_var": vec.expectation(nop @ nop).real - n_photons**2,
+                "m_mean": m_mean,
+                "m_var": vec.expectation(mop @ mop).real - m_mean**2,
+                "entropy": 1.0 - float(np.sum(np.abs(vec.atomic_density_matrix()) ** 2)),
+            }
+            rep = coherent_expectations(p, pt)
+            closed = {**rep._asdict(), **rep.one_body._asdict()}
+            for key, value in oracle.items():
+                assert abs(closed[key] - value) < 1e-10 * max(1.0, abs(value)), key
 
 
 class TestBoundaryBisection:

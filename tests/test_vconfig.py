@@ -115,10 +115,10 @@ class TestCollectiveClosedForms:
         for _ in range(25):
             vp = VParams(mu=rng.uniform(0.6, 2.5), n_atoms=int(rng.integers(1, 7)))
             rep = coherent_expectations(vp.to_model_params(), critical_coherent_point(vp))
-            assert abs(rep.n_photons - nu_bar(vp)) < 1e-10 * max(1.0, rep.n_photons)
+            assert abs(rep.one_body.n_photons - nu_bar(vp)) < 1e-10 * max(1.0, rep.one_body.n_photons)
             mean, var = photon_stats_v(vp)
-            assert abs(rep.n_photons - mean) < 1e-10 * max(1.0, mean)
-            assert abs(rep.var_photons - var) < 1e-10 * max(1.0, var)
+            assert abs(rep.one_body.n_photons - mean) < 1e-10 * max(1.0, mean)
+            assert abs(rep.photon_var - var) < 1e-10 * max(1.0, var)
 
     def test_rwa_closed_forms_use_half_coupling(self):
         full = VParams(mu=1.0)
