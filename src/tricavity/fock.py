@@ -19,7 +19,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 from scipy.special import gammainc
 
-from .errors import CutoffNotConverged, TailTooLarge
+from . import surface
+from .errors import CutoffNotConverged, NonConvergence, TailTooLarge
 from .model import (
     AtomicConfiguration,
     CoherentPoint,
@@ -40,10 +41,11 @@ DENSE_CUTOFF = 256
 TAIL_FLOOR = 1e-14
 
 # Basis size limit, certificate tolerance on |E(nu_max) - E(nu_max - 10)|,
-# and the cutoff schedule (doubling from NU_MAX_START up to NU_MAX_LIMIT).
+# and the largest cutoff of the schedule (doubling from suggested_nu_max of
+# the coherent minimum).
 MAX_DIMENSION = 500_000
 CERTIFICATE_DELTA = 1e-10
-NU_MAX_START, NU_MAX_LIMIT = 40, 5120
+NU_MAX_LIMIT = 5120
 
 
 def suggested_nu_max(alpha: complex) -> int:
@@ -273,7 +275,9 @@ def build_sacs_vector(
     return StateVector(space=space, data=psi.ravel())
 
 
-def _lowest_eigenpairs(block: sparse.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _lowest_eigenpairs(
+    block: sparse.csr_matrix, k: int, start: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenvalues (ascending) and eigenvectors of a sector block.
 
     The block is split into the connected components of its coupling graph
@@ -286,7 +290,10 @@ def _lowest_eigenpairs(block: sparse.csr_matrix, k: int) -> tuple[np.ndarray, np
     positive start vector; solving the whole block at once would let the
     Lanczos run miss a decoupled component such as the RWA vacuum. The
     entries are unequal because a uniform vector misses states odd under a
-    level exchange. The components' pairs are merged by a stable sort.
+    level exchange. A Lanczos component takes its part of `start` instead
+    when that part is not all zero (the certificate passes the ground
+    vector of the enclosing block, which is nearly the answer). The
+    components' pairs are merged by a stable sort.
     """
     n_parts, labels = connected_components(block != 0, directed=False)
     members = np.argsort(labels, kind="stable")
@@ -299,7 +306,9 @@ def _lowest_eigenpairs(block: sparse.csr_matrix, k: int) -> tuple[np.ndarray, np
         if n <= DENSE_CUTOFF or 16 * kk >= n:
             vals, vecs = scipy.linalg.eigh(sub.toarray(), subset_by_index=(0, kk - 1))
         else:
-            v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+            v0 = None if start is None else start[part]
+            if v0 is None or not v0.any():
+                v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
             vals, vecs = eigsh(sub, k=kk, which="SA", v0=v0)
         values.extend(vals)
         columns.extend((part, vec) for vec in vecs.T)
@@ -375,7 +384,9 @@ def ground_states(
     The certificate compares each sector energy against the same computation
     at nu_max - 10 and requires agreement within CERTIFICATE_DELTA. The basis
     is nu-major, so the nu_max - 10 sector is the leading principal block of
-    the nu_max one and is sliced from it rather than rebuilt.
+    the nu_max one and is sliced from it rather than rebuilt. Its Lanczos
+    components start from the sector ground vector cut to that block; the
+    main solve keeps the fixed start, so the result stays deterministic.
     """
     if certify and space.nu_max < 11:
         raise CutoffNotConverged("nu_max too small to certify", delta=None)
@@ -388,7 +399,8 @@ def ground_states(
         grounds.append(SectorGround(float(vals[0]), StateVector(space, full), branch))
         if certify:
             m = int(np.searchsorted(indices, leading))
-            deltas.append(abs(_lowest_eigenpairs(block[:m, :m], 1)[0][0] - vals[0]))
+            lead = _lowest_eigenpairs(block[:m, :m], 1, start=vecs[:m, 0])[0][0]
+            deltas.append(abs(lead - vals[0]))
 
     certificate = {"delta": None, "nu_max": space.nu_max, "certified": False}
     if certify:
@@ -404,13 +416,20 @@ def ground_states(
 
 
 def converged_ground_states(params: ModelParams) -> GroundStateResult:
-    """Double the cutoff from NU_MAX_START until the certificate holds.
+    """Double the cutoff from the coherent estimate until the certificate holds.
 
-    Raises CutoffNotConverged once the next cutoff passes NU_MAX_LIMIT or
-    its basis would pass MAX_DIMENSION.
+    The first cutoff is suggested_nu_max at the minimum of the coherent
+    surface (its best candidate if the minimizer did not converge: the
+    estimate is only a starting guess, the certificate decides). Raises
+    CutoffNotConverged once the next cutoff passes NU_MAX_LIMIT or its basis
+    would pass MAX_DIMENSION.
     """
+    try:
+        crit = surface.minimize_surface(params)
+    except NonConvergence as exc:
+        crit = exc.best
     atomic_dimension = len(symmetric_occupations(params.n_atoms))
-    nu_max, delta = NU_MAX_START, None
+    nu_max, delta = suggested_nu_max(crit.rho), None
     while nu_max <= NU_MAX_LIMIT:
         dimension = (nu_max + 1) * atomic_dimension
         if dimension > MAX_DIMENSION:

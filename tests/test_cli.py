@@ -282,7 +282,7 @@ class TestPhotonDist:
         assert "Traceback" not in proc.stderr
 
     def test_exact_basis_limit_is_numerical_failure(self):
-        # N = 200 needs 41 x 20301 states at the first cutoff, over the limit.
+        # N = 200 needs 31 x 20301 states at the first cutoff, over the limit.
         proc = run_cli(
             "photon-dist", "--branch", "exact", "--mu", "0.3", "--n-atoms", "200",
             expect=3,

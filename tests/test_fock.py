@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from tricavity import fock, sacs
-from tricavity.errors import TailTooLarge
-from tricavity.model import AtomicConfiguration, ModelParams, ParityBranch
+from tricavity import cli, fock, sacs, surface
+from tricavity.errors import NonConvergence, TailTooLarge
+from tricavity.model import (
+    AtomicConfiguration,
+    ModelParams,
+    ParityBranch,
+    couplings_from_magnitude,
+)
 from tricavity.vconfig import VParams
 
 from helpers import CONFIGS, random_params, random_sacs_point
@@ -230,6 +235,113 @@ class TestCoupledComponents:
             split = fock.ground_states(p, space, certify=False)
             for branch in ("even", "odd"):
                 assert abs(getattr(split, branch).energy - getattr(ref, branch).energy) < 1e-12
+
+
+def _counting_attempts(monkeypatch):
+    """Wrap fock.ground_states; returns the list of cutoffs it is called at."""
+    cutoffs = []
+    solve = fock.ground_states
+
+    def counted(params, space, *args, **kwargs):
+        cutoffs.append(space.nu_max)
+        return solve(params, space, *args, **kwargs)
+
+    monkeypatch.setattr(fock, "ground_states", counted)
+    return cutoffs
+
+
+def _assert_matches_double_cutoff(params, result):
+    space = fock.TruncatedSpace(params.n_atoms, 2 * result.nu_max)
+    ref = fock.ground_states(params, space, certify=False)
+    for branch in ("even", "odd"):
+        assert abs(getattr(result, branch).energy - getattr(ref, branch).energy) < 1e-10
+
+
+class TestCutoffSchedule:
+    @pytest.mark.parametrize("config", list(AtomicConfiguration))
+    @pytest.mark.parametrize("rwa", (False, True))
+    def test_coherent_estimate_certifies_first(self, monkeypatch, config, rwa):
+        # A fast part of the 162-case grid: omega2 = 1.1, omega3 = 1.4,
+        # theta = 0.7, both regimes, shifted and unshifted ground level.
+        cutoffs = _counting_attempts(monkeypatch)
+        for n, mu, omega1 in ((2, 0.3, 0.0), (7, 1.6, 0.2), (4, 1.0, 0.0)):
+            p = ModelParams(
+                omega=1.0, omega1=omega1, omega2=1.1, omega3=1.4,
+                **couplings_from_magnitude(config, mu, 0.7),
+                n_atoms=n, config=config, rwa=rwa,
+            )
+            cutoffs.clear()
+            result = fock.converged_ground_states(p)
+            assert len(cutoffs) == 1
+            assert result.certificate["certified"]
+            _assert_matches_double_cutoff(p, result)
+
+    def test_doubles_from_a_low_estimate(self, monkeypatch):
+        p = VParams(mu=1.5, theta=0.8, n_atoms=4).to_model_params()
+        reference = fock.converged_ground_states(p)
+        monkeypatch.setattr(fock, "suggested_nu_max", lambda alpha: 12)
+        cutoffs = _counting_attempts(monkeypatch)
+        result = fock.converged_ground_states(p)
+        assert len(cutoffs) > 1
+        assert cutoffs == [12 * 2**i for i in range(len(cutoffs))]
+        assert result.nu_max == cutoffs[-1]
+        assert result.certificate["certified"]
+        _assert_matches_double_cutoff(p, result)
+        for branch in ("even", "odd"):
+            assert abs(getattr(result, branch).energy - getattr(reference, branch).energy) < 1e-10
+
+    def test_nonconverged_minimizer_still_gives_a_row(self, monkeypatch, capsys):
+        argv = ["sweep", "--mu", "1.5", "--n-atoms", "4", "--branch", "exact"]
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+        p = VParams(mu=1.5, n_atoms=4).to_model_params()
+        best = surface.minimize_surface(p)
+
+        def fails(params):
+            raise NonConvergence("no gradient polish converged", best=best)
+
+        monkeypatch.setattr(surface, "minimize_surface", fails)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
+class TestWarmCertificate:
+    @pytest.mark.parametrize(
+        "vp, dense_cutoff",
+        [
+            # One Lanczos component per sector, started from the ground vector.
+            (VParams(mu=1.5, theta=0.8, n_atoms=8), fock.DENSE_CUTOFF),
+            # Under the RWA the ground is the vacuum, so every other M block
+            # has no start weight and keeps the seeded start.
+            (VParams(mu=0.3, n_atoms=20, rwa=True), 50),
+        ],
+    )
+    def test_delta_matches_dense_leading_block(self, monkeypatch, vp, dense_cutoff):
+        p = vp.to_model_params()
+        monkeypatch.setattr(fock, "DENSE_CUTOFF", dense_cutoff)
+        first = fock.converged_ground_states(p)
+        second = fock.converged_ground_states(p)
+        assert first.certificate == second.certificate
+        space = fock.TruncatedSpace(p.n_atoms, first.nu_max)
+        leading = (space.nu_max - 9) * space.atomic_dimension
+        monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
+        deltas = []
+        for (_, indices, block), ground in zip(
+            fock._sector_blocks(p, space), (first.even, first.odd)
+        ):
+            m = int(np.searchsorted(indices, leading))
+            lead = fock._lowest_eigenpairs(block[:m, :m], 1)[0][0]
+            deltas.append(abs(ground.energy - lead))
+        assert abs(first.certificate["delta"] - max(deltas)) < 1e-12
+
+    def test_zero_start_keeps_seeded_start(self, monkeypatch):
+        p = VParams(mu=1.3, n_atoms=4).to_model_params()
+        _, _, block = next(fock._sector_blocks(p, fock.TruncatedSpace(4, 60)))
+        monkeypatch.setattr(fock, "DENSE_CUTOFF", 50)
+        seeded = fock._lowest_eigenpairs(block, 1)
+        zero = fock._lowest_eigenpairs(block, 1, start=np.zeros(block.shape[0]))
+        assert np.array_equal(seeded[0], zero[0])
+        assert np.array_equal(seeded[1], zero[1])
 
 
 class TestSacsVectorOracle:
