@@ -4,11 +4,14 @@ The basis is |nu> x |n1 n2 n3> with nu <= nu_max photons and (n1, n2, n3)
 running over the totally symmetric N-atom occupations. Indexing is nu-major,
 then lexicographic in (n2, n3), matching `model.symmetric_occupations`.
 Everything here is the ground truth the variational formulas are tested
-against.
+against. Each operator is one CSR construction from index arrays (the A_ij
+entries cached read-only per (N, i, j)), with the stored arrays of its
+Kronecker-product form bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,9 +72,6 @@ class TruncatedSpace:
             raise ValueError(
                 f"basis dimension {self.dimension} exceeds the limit {MAX_DIMENSION}"
             )
-        self._atomic_index = {
-            (n2, n3): k for k, (_, n2, n3) in enumerate(self.occupations)
-        }
 
     @property
     def atomic_dimension(self) -> int:
@@ -88,34 +88,46 @@ class TruncatedSpace:
                 yield (nu, n1, n2, n3)
 
 
+@functools.cache
+def _atomic_entries(n_atoms: int, i: int, j: int) -> tuple[np.ndarray, ...]:
+    """Read-only (rows, cols, amplitudes) of A_ij, sorted by (row, col).
+
+    Column k is occupation k; its entry moves one atom from level j to i,
+    with amplitude sqrt(n_j (n_i + 1)) (n_i on the diagonal), into the row
+    of rank n2 (N + 1) - n2 (n2 - 1) / 2 + n3 in the (n2, n3) order.
+    """
+    occ = np.array(symmetric_occupations(n_atoms))
+    cols = np.flatnonzero(occ[:, j - 1])
+    moved = occ[cols] + np.eye(3, dtype=int)[i - 1] - np.eye(3, dtype=int)[j - 1]
+    n2, n3 = moved[:, 1], moved[:, 2]
+    rows = n2 * (n_atoms + 1) - n2 * (n2 - 1) // 2 + n3
+    amps = np.sqrt(occ[cols, j - 1] * moved[:, i - 1])
+    order = np.lexsort((cols, rows))
+    entries = rows[order], cols[order], amps[order]
+    for array in entries:
+        array.flags.writeable = False
+    return entries
+
+
+def _csr(size: int, blocks) -> sparse.csr_matrix:
+    """Square CSR matrix owning sorted copies of (rows, cols, values) blocks."""
+    blocks = list(blocks) or [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]
+    rows, cols, data = (np.concatenate(part) for part in zip(*blocks))
+    order = np.argsort(rows * size + cols, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
+    return sparse.csr_matrix((data[order], cols[order], indptr), shape=(size, size))
+
+
 def atomic_transition(space: TruncatedSpace, i: int, j: int) -> sparse.csr_matrix:
     """Collective A_ij = b_i' b_j on the atomic factor alone."""
-    dim = space.atomic_dimension
-    rows, cols, data = [], [], []
-    for col, occ in enumerate(space.occupations):
-        n = list(occ)
-        if n[j - 1] == 0:
-            continue
-        n[j - 1] -= 1
-        amp = math.sqrt((n[j - 1] + 1) * (n[i - 1] + 1))
-        n[i - 1] += 1
-        rows.append(space._atomic_index[(n[1], n[2])])
-        cols.append(col)
-        data.append(amp)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-
-
-def field_annihilation(space: TruncatedSpace) -> sparse.csr_matrix:
-    d = space.nu_max + 1
-    diag = np.sqrt(np.arange(1, d))
-    return sparse.diags(diag, offsets=1).tocsr()
+    return _csr(space.atomic_dimension, [_atomic_entries(space.n_atoms, i, j)])
 
 
 def _lift_atomic(space: TruncatedSpace, op: sparse.csr_matrix) -> sparse.csr_matrix:
     """1 x op, assembled directly: one copy of op per photon number.
 
     In the nu-major basis this is block diagonal, so the CSR arrays are
-    those of op repeated with shifted offsets (same matrix as sparse.kron).
+    those of op repeated with shifted offsets (the arrays sparse.kron gives).
     """
     copies = np.arange(space.nu_max + 1)[:, None]
     dim = op.shape[0]
@@ -126,29 +138,28 @@ def _lift_atomic(space: TruncatedSpace, op: sparse.csr_matrix) -> sparse.csr_mat
     return sparse.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
-def _lift_field(space: TruncatedSpace, op: sparse.spmatrix) -> sparse.csr_matrix:
-    return sparse.kron(op, sparse.identity(space.atomic_dimension), format="csr")
-
-
 def transition(space: TruncatedSpace, i: int, j: int) -> sparse.csr_matrix:
     """A_ij on the full truncated space."""
     return _lift_atomic(space, atomic_transition(space, i, j))
 
 
 def annihilation(space: TruncatedSpace) -> sparse.csr_matrix:
-    """a on the full truncated space."""
-    return _lift_field(space, field_annihilation(space))
+    """a on the full truncated space: a x 1, sqrt(nu) from (nu, k) to (nu - 1, k)."""
+    rows = np.arange(space.dimension - space.atomic_dimension)
+    roots = np.repeat(np.sqrt(np.arange(1.0, space.nu_max + 1)), space.atomic_dimension)
+    return _csr(space.dimension, [(rows, rows + space.atomic_dimension, roots)])
 
 
 def photon_number(space: TruncatedSpace) -> sparse.csr_matrix:
-    d = space.nu_max + 1
-    return _lift_field(space, sparse.diags(np.arange(d, dtype=float)).tocsr())
+    nus = np.repeat(np.arange(space.nu_max + 1, dtype=float), space.atomic_dimension)
+    return sparse.diags(nus).tocsr()
 
 
 def m_diagonal(space: TruncatedSpace, config: AtomicConfiguration) -> np.ndarray:
     """Eigenvalues of M = a'a + lambda2 A_22 + lambda3 A_33 along the basis."""
     l2, l3 = excitation_weights(config)
-    return np.array([nu + l2 * n2 + l3 * n3 for nu, _, n2, n3 in space.labels()])
+    _, n2, n3 = np.array(space.occupations).T
+    return (np.arange(space.nu_max + 1)[:, None] + (l2 * n2 + l3 * n3)).ravel()
 
 
 def m_operator(space: TruncatedSpace, config: AtomicConfiguration) -> sparse.csr_matrix:
@@ -170,44 +181,49 @@ def parity_sectors(
     return np.flatnonzero(m % 2 == 0), np.flatnonzero(m % 2 == 1)
 
 
-def counter_rotating_part(params: ModelParams, space: TruncatedSpace) -> sparse.csr_matrix:
-    """-(1/sqrt(N)) sum mu_ij (A_ij a + A_ji a')."""
-    a_f = field_annihilation(space)
-    h = sparse.csr_matrix((space.dimension, space.dimension))
+def _coupling_entries(params: ModelParams, space: TruncatedSpace, steps: tuple[int, ...]):
+    """Entries of -(mu_ij/sqrt N) a^s x A_ij and of its transpose, per allowed pair.
+
+    A photon step s of +1 stands for a', -1 for a. Each value is
+    -(mu_ij/sqrt N) * (sqrt(nu) amp), bracket first as sparse.kron forms it.
+    """
+    dim = space.atomic_dimension
+    lower = dim * np.arange(space.nu_max)[:, None]
+    root = np.sqrt(np.arange(1.0, space.nu_max + 1))[:, None]
     for i, j in params.config.allowed_pairs:
         mu = params.coupling(i, j)
         if mu == 0.0:
             continue
-        a_ij = atomic_transition(space, i, j)
-        h = h + (-mu / math.sqrt(params.n_atoms)) * (
-            sparse.kron(a_f, a_ij, format="csr")
-            + sparse.kron(a_f.T, a_ij.T, format="csr")
-        )
-    return h.tocsr()
+        rows, cols, amps = _atomic_entries(space.n_atoms, i, j)
+        values = (-(mu / math.sqrt(params.n_atoms)) * (root * amps)).ravel()
+        for step in steps:
+            # a' raises nu on the row side of the block, a on the column side.
+            r = (lower + dim * (step > 0) + rows).ravel()
+            c = (lower + dim * (step < 0) + cols).ravel()
+            yield r, c, values
+            yield c, r, values
+
+
+def counter_rotating_part(params: ModelParams, space: TruncatedSpace) -> sparse.csr_matrix:
+    """-(1/sqrt(N)) sum mu_ij (A_ij a + A_ji a')."""
+    return _csr(space.dimension, _coupling_entries(params, space, (-1,)))
 
 
 def build_hamiltonian(params: ModelParams, space: TruncatedSpace) -> sparse.csr_matrix:
-    """Hamiltonian matrix (real symmetric) on the truncated space."""
+    """Hamiltonian matrix (real symmetric) on the truncated space.
+
+    Diagonal: Omega nu, then each nonzero omega_i n_i; no stored zeros.
+    Couplings: a' A_ij (and a A_ij without the RWA) with their transposes.
+    """
     if params.n_atoms != space.n_atoms:
         raise ValueError("atom-number mismatch between params and space")
-    h = params.omega * photon_number(space)
+    diag = params.omega * photon_number(space).diagonal()
     for i, w in zip((1, 2, 3), params.level_energies):
         if w != 0.0:
-            h = h + w * transition(space, i, i)
-    a_f = field_annihilation(space)
-    root_n = math.sqrt(params.n_atoms)
-    for i, j in params.config.allowed_pairs:
-        mu = params.coupling(i, j)
-        if mu == 0.0:
-            continue
-        a_ij = atomic_transition(space, i, j)
-        if params.rwa:
-            inter = sparse.kron(a_f.T, a_ij, format="csr")
-            inter = inter + inter.T
-        else:
-            inter = sparse.kron(a_f + a_f.T, a_ij + a_ij.T, format="csr")
-        h = h - (mu / root_n) * inter
-    return h.tocsr()
+            diag = diag + w * transition(space, i, i).diagonal()
+    index = np.flatnonzero(diag)
+    couplings = _coupling_entries(params, space, (1,) if params.rwa else (1, -1))
+    return _csr(space.dimension, [(index, index, diag[index]), *couplings])
 
 
 @dataclass
@@ -220,9 +236,12 @@ class StateVector:
     def norm_squared(self) -> float:
         return float(np.vdot(self.data, self.data).real)
 
-    def expectation(self, op: sparse.spmatrix) -> complex:
-        val = complex(np.vdot(self.data, op.dot(self.data)))
-        return val / self.norm_squared()
+    def expectation(self, *ops: sparse.spmatrix) -> complex:
+        """<v|ops[0] ops[1] ... |v> / <v|v>, applying the operators right to left."""
+        image = self.data
+        for op in reversed(ops):
+            image = op.dot(image)
+        return complex(np.vdot(self.data, image)) / self.norm_squared()
 
     def photon_distribution(self) -> np.ndarray:
         psi = self.data.reshape(self.space.nu_max + 1, self.space.atomic_dimension)

@@ -1,6 +1,7 @@
 """Truncated-space diagonalization and its use as an expectation oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tricavity.model import (
     ModelParams,
     ParityBranch,
     couplings_from_magnitude,
+    excitation_weights,
 )
 from tricavity.vconfig import VParams
 
@@ -115,6 +117,197 @@ class TestHamiltonianStructure:
             space = fock.TruncatedSpace(2, 18)
             for theta in (0.0, math.pi / 7, math.pi):
                 assert fock.excitation_rotation_deviation(p, space, theta) < 1e-12
+
+
+# Reference oracle for the index-array assembly: every operator built as a
+# chain of sparse.kron products and sparse sums, compared with fock's down to
+# the stored CSR arrays.
+def _reference_atomic(space, i, j):
+    index = {(n2, n3): k for k, (_, n2, n3) in enumerate(space.occupations)}
+    rows, cols, data = [], [], []
+    for col, occ in enumerate(space.occupations):
+        n = list(occ)
+        if n[j - 1] == 0:
+            continue
+        n[j - 1] -= 1
+        amp = math.sqrt((n[j - 1] + 1) * (n[i - 1] + 1))
+        n[i - 1] += 1
+        rows.append(index[(n[1], n[2])])
+        cols.append(col)
+        data.append(amp)
+    dim = space.atomic_dimension
+    return sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+
+
+def _reference_field_annihilation(space):
+    return sparse.diags(np.sqrt(np.arange(1, space.nu_max + 1)), offsets=1).tocsr()
+
+
+def _reference_lift_field(space, op):
+    return sparse.kron(op, sparse.identity(space.atomic_dimension), format="csr")
+
+
+def _reference_photon_number(space):
+    nus = np.arange(space.nu_max + 1, dtype=float)
+    return _reference_lift_field(space, sparse.diags(nus).tocsr())
+
+
+def _reference_operators(space, config):
+    """name -> matrix (or M diagonal) of every operator under test."""
+    d = space.nu_max + 1
+    l2, l3 = excitation_weights(config)
+    m = np.array([nu + l2 * n2 + l3 * n3 for nu, _, n2, n3 in space.labels()])
+    ops = {
+        "annihilation": _reference_lift_field(space, _reference_field_annihilation(space)),
+        "photon_number": _reference_photon_number(space),
+        "m_diagonal": m,
+        "parity_operator": sparse.diags(1.0 - 2.0 * (m % 2)).tocsr(),
+    }
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            a_ij = _reference_atomic(space, i, j)
+            ops[f"atomic_transition{i}{j}"] = a_ij
+            ops[f"transition{i}{j}"] = sparse.kron(sparse.identity(d), a_ij, format="csr")
+    return ops
+
+
+def _reference_hamiltonian(params, space):
+    h = params.omega * _reference_photon_number(space)
+    identity = sparse.identity(space.nu_max + 1)
+    for i, w in zip((1, 2, 3), params.level_energies):
+        if w != 0.0:
+            h = h + w * sparse.kron(identity, _reference_atomic(space, i, i), format="csr")
+    a_f = _reference_field_annihilation(space)
+    root_n = math.sqrt(params.n_atoms)
+    for i, j in params.config.allowed_pairs:
+        mu = params.coupling(i, j)
+        if mu == 0.0:
+            continue
+        a_ij = _reference_atomic(space, i, j)
+        if params.rwa:
+            inter = sparse.kron(a_f.T, a_ij, format="csr")
+            inter = inter + inter.T
+        else:
+            inter = sparse.kron(a_f + a_f.T, a_ij + a_ij.T, format="csr")
+        h = h - (mu / root_n) * inter
+    return h.tocsr()
+
+
+def _same_arrays(a, b) -> bool:
+    """Same shape and bit-identical data, indices and indptr."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return (
+        a.shape == b.shape
+        and a.data.dtype == b.data.dtype == np.float64
+        and np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.indptr, b.indptr)
+    )
+
+
+def _frame_params(config, rwa, frame, n_atoms, mu=1.3, theta=0.7):
+    """Default frame (Omega = 1, omega = (0, 1, 1)) or a shifted one."""
+    freqs = dict(omega=1.0, omega1=0.0, omega2=1.0, omega3=1.0)
+    if frame == "shifted":
+        freqs = dict(omega=1.7, omega1=0.25, omega2=0.9, omega3=1.6)
+    return ModelParams(
+        **freqs,
+        **couplings_from_magnitude(config, mu, theta),
+        n_atoms=n_atoms,
+        config=config,
+        rwa=rwa,
+    )
+
+
+class TestIndexAssembly:
+    @pytest.mark.parametrize("frame", ("default", "shifted"))
+    @pytest.mark.parametrize("rwa", (False, True))
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.value)
+    def test_matrices_bit_identical_to_kronecker_form(self, config, rwa, frame):
+        for n_atoms in (1, 2, 3, 5, 8, 10):
+            for nu_max in (0, 1, 7 + 3 * n_atoms):
+                space = fock.TruncatedSpace(n_atoms, nu_max)
+                params = _frame_params(config, rwa, frame, n_atoms)
+                h = fock.build_hamiltonian(params, space)
+                assert _same_arrays(h, _reference_hamiltonian(params, space))
+                built = {
+                    "annihilation": fock.annihilation(space),
+                    "photon_number": fock.photon_number(space),
+                    "m_diagonal": fock.m_diagonal(space, config),
+                    "parity_operator": fock.parity_operator(space, config),
+                }
+                for i in (1, 2, 3):
+                    for j in (1, 2, 3):
+                        built[f"atomic_transition{i}{j}"] = fock.atomic_transition(space, i, j)
+                        built[f"transition{i}{j}"] = fock.transition(space, i, j)
+                for name, reference in _reference_operators(space, config).items():
+                    assert _same_arrays(built[name], reference), (name, n_atoms, nu_max)
+
+    def test_comparison_sees_one_ulp(self):
+        params = _frame_params(AtomicConfiguration.XI, False, "shifted", 3)
+        space = fock.TruncatedSpace(3, 9)
+        pairs = (
+            (fock.build_hamiltonian(params, space), _reference_hamiltonian(params, space)),
+            (fock.atomic_transition(space, 2, 3), _reference_atomic(space, 2, 3)),
+        )
+        for built, matrix in pairs:
+            assert _same_arrays(built, matrix)
+            k = matrix.nnz // 2
+            matrix.data[k] = np.nextafter(matrix.data[k], np.inf)
+            assert not _same_arrays(built, matrix)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.value)
+    def test_counter_rotating_part_is_full_minus_rwa(self, config):
+        for frame, mu in (("default", 1.3), ("shifted", 1.3), ("shifted", 0.0)):
+            for n_atoms in (1, 2, 5):
+                params = _frame_params(config, False, frame, n_atoms, mu=mu)
+                space = fock.TruncatedSpace(n_atoms, 12)
+                full = fock.build_hamiltonian(params, space)
+                rwa = fock.build_hamiltonian(replace(params, rwa=True), space)
+                h_r = fock.counter_rotating_part(params, space)
+                assert h_r.shape == full.shape and (h_r.nnz > 0) == (mu > 0)
+                assert (h_r != full - rwa).nnz == 0
+
+    def test_chain_expectation_matches_product_matrix(self):
+        rng = np.random.default_rng(359)
+        for _ in range(12):
+            config = CONFIGS[rng.integers(len(CONFIGS))]
+            n = int(rng.integers(1, 4))
+            sp = random_sacs_point(rng, config, n, BRANCHES[rng.integers(2)])
+            space = fock.TruncatedSpace(n, 40)
+            vec = fock.build_sacs_vector(sp.point, sp.branch, sp.config, space)
+            ann = fock.annihilation(space)
+            factors = [ann, ann.T.tocsr(), fock.photon_number(space)]
+            factors.append(fock.m_operator(space, config))
+            factors += [fock.transition(space, i, j) for i, j in config.allowed_pairs]
+            for _ in range(6):
+                size = int(rng.integers(2, 4))
+                picks = [factors[k] for k in rng.integers(len(factors), size=size)]
+                product = picks[0]
+                for op in picks[1:]:
+                    product = product @ op
+                chain, matrix = vec.expectation(*picks), vec.expectation(product)
+                assert abs(chain - matrix) <= 1e-13 * max(1.0, abs(matrix))
+
+    def test_returned_matrices_do_not_share_the_cache(self):
+        params = _frame_params(AtomicConfiguration.V, False, "shifted", 4)
+        space = fock.TruncatedSpace(4, 10)
+        for i in (1, 2, 3):
+            for array in fock._atomic_entries(4, i, 1):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+        builders = (
+            lambda: fock.atomic_transition(space, 1, 2),
+            lambda: fock.transition(space, 2, 2),
+            lambda: fock.build_hamiltonian(params, space),
+        )
+        for build in builders:
+            first = build()
+            expected = first.copy()
+            first.data[:] = -7.0
+            assert _same_arrays(build(), expected)
 
 
 class TestGroundStates:
