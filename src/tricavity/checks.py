@@ -228,8 +228,7 @@ def check_oracle_equivalence(rng: np.random.Generator, level: CheckLevel) -> Che
             ops[i, j] = fock.transition(space, i, j)
             ops[j, i] = fock.transition(space, j, i)
 
-        kr = sacs.kernel(point, point, sp.branch, sp.config, n_atoms)
-        worst = max(worst, _rel_dev(vec.norm_squared(), kr.real))
+        worst = max(worst, _rel_dev(vec.norm_squared(), sp.norm_squared()))
 
         one = sacs.expect_one_body(sp)
         for i, closed in zip((1, 2, 3), (one.a11, one.a22, one.a33)):
@@ -240,8 +239,9 @@ def check_oracle_equivalence(rng: np.random.Generator, level: CheckLevel) -> Che
 
         _, n_sq = sacs.expect_photon_moments(sp)
         worst = max(worst, _rel_dev(n_sq, vec.expectation(nop, nop).real))
-        for i, closed in zip((1, 2, 3), sacs.expect_population_squares(sp)):
+        for i in (1, 2, 3):
             op = ops[i, i]
+            closed = sacs.expect_a_product(sp, i, i, i, i).real
             worst = max(worst, _rel_dev(closed, vec.expectation(op, op).real))
             cross = sacs.expect_photon_population_product(sp, i)
             worst = max(worst, _rel_dev(cross, vec.expectation(nop, op).real))
@@ -390,37 +390,45 @@ def check_rdm_consistency(rng: np.random.Generator, level: CheckLevel) -> CheckR
 
 
 def check_distribution_normalization(rng: np.random.Generator, level: CheckLevel) -> CheckResult:
-    """Closed-form photon distributions: normalization, moments, oracle."""
+    """Closed-form photon distributions: normalization, moments, oracle.
+
+    The summed moments are compared with the independent closed forms:
+    nu_bar for the coherent state, `sacs.expect_photon_moments` for the
+    parity branches.
+    """
     worst = 0.0
-    approxes = (
-        vconfig.Approximation.SACS_EVEN,
-        vconfig.Approximation.SACS_ODD,
-        vconfig.Approximation.COHERENT,
-    )
     for _ in range(6):
         mu = rng.uniform(0.6, 2.8)
         vp = vconfig.VParams(mu=mu)
+        params = vp.to_model_params()
         nb = vconfig.nu_bar(vp)
         top = int(math.ceil(nb + 14.0 * math.sqrt(nb + 1.0) + 30.0))
         nus = np.arange(top + 1)
-        for approx in approxes:
+        point = vconfig.critical_coherent_point(vp)
+        space = fock.TruncatedSpace(2, fock.suggested_nu_max(point.alpha))
+        oracle_nus = np.arange(space.nu_max + 1)
+        for approx, branch in (
+            (vconfig.Approximation.COHERENT, None),
+            (vconfig.Approximation.SACS_EVEN, ParityBranch.EVEN),
+            (vconfig.Approximation.SACS_ODD, ParityBranch.ODD),
+        ):
             p = vconfig.photon_dist_v(vp, approx, nus)
             worst = max(worst, abs(float(p.sum()) - 1.0))
             mean = float(nus @ p)
             var = float(nus**2 @ p) - mean**2
-            m_closed, v_closed = vconfig.distribution_moments(vp, approx)
-            worst = max(worst, _rel_dev(mean, m_closed))
-            worst = max(worst, _rel_dev(var, v_closed))
-        point = vconfig.critical_coherent_point(vp)
-        space = fock.TruncatedSpace(2, fock.suggested_nu_max(point.alpha))
-        for approx, branch in (
-            (vconfig.Approximation.SACS_EVEN, ParityBranch.EVEN),
-            (vconfig.Approximation.SACS_ODD, ParityBranch.ODD),
-        ):
+            if branch is None:
+                worst = max(worst, _rel_dev(mean, nb), _rel_dev(var, nb))
+                continue
+            sp = sacs.SacsPoint(point, branch, AtomicConfiguration.V, 2)
+            m_closed, second = sacs.expect_photon_moments(sp)
+            worst = max(worst, _rel_dev(mean, m_closed), _rel_dev(var, second - m_closed**2))
             vec = fock.build_sacs_vector(point, branch, AtomicConfiguration.V, space)
             dist = vec.photon_distribution()
-            closed = vconfig.photon_dist_v(vp, approx, np.arange(space.nu_max + 1))
-            worst = max(worst, float(np.max(np.abs(dist - closed))))
+            for closed in (
+                vconfig.photon_dist_v(vp, approx, oracle_nus),
+                sacs.photon_distribution(params, point, branch, oracle_nus),
+            ):
+                worst = max(worst, float(np.max(np.abs(dist - closed))))
     for approx, at0, at1 in (
         (vconfig.Approximation.SACS_EVEN, 1.0, 0.0),
         (vconfig.Approximation.SACS_ODD, 0.5, 0.5),
@@ -516,10 +524,7 @@ def check_fock_structure(rng: np.random.Generator, level: CheckLevel) -> CheckRe
     last = None
     for nu_max in (24, 36, 48):
         space = fock.TruncatedSpace(2, nu_max)
-        vals = [
-            fock.sector_spectrum(params, space, branch, k=1)[0]
-            for branch in BRANCHES
-        ]
+        vals = [values[0] for values in fock.sector_spectrum(params, space, k=1)]
         if last is not None:
             worst = max(worst, max(0.0, vals[0] - last[0]), max(0.0, vals[1] - last[1]))
         last = vals

@@ -424,8 +424,8 @@ def cmd_spectrum(args, parser) -> int:
     params, metadata = _single_point(args, parser, "spectrum")
     space = _checked_space(params.n_atoms, args.nu_max)
     rows = []
-    for branch in (ParityBranch.EVEN, ParityBranch.ODD):
-        values = fock.sector_spectrum(params, space, branch, k=args.k)
+    spectra = fock.sector_spectrum(params, space, k=args.k)
+    for branch, values in zip(ParityBranch, spectra):
         rows.extend(
             [branch.name.lower(), idx, float(val)] for idx, val in enumerate(values)
         )

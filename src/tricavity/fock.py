@@ -467,15 +467,13 @@ def converged_ground_states(params: ModelParams) -> GroundStateResult:
 
 
 def sector_spectrum(
-    params: ModelParams,
-    space: TruncatedSpace,
-    branch: ParityBranch,
-    k: int = 6,
-) -> np.ndarray:
-    """Lowest k eigenvalues of one parity sector."""
-    for sector, _, block in _sector_blocks(params, space):
-        if sector is branch:
-            return _lowest_eigenpairs(block, k)[0]
+    params: ModelParams, space: TruncatedSpace, k: int = 6
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenvalues of the even and of the odd sector, from one H build."""
+    even, odd = (
+        _lowest_eigenpairs(block, k)[0] for _, _, block in _sector_blocks(params, space)
+    )
+    return even, odd
 
 
 def excitation_rotation_deviation(

@@ -9,6 +9,12 @@ where gamma~ flips the sign of amplitudes with odd excitation weight. All
 closed-form expectations here are exact; they reduce to ratios of a few
 scalars, which we evaluate in units of exp(|alpha|^2) (gamma*.gamma)^N so
 that large field amplitudes never overflow.
+
+Every expectation follows one parity rule. A term that changes the branch
+(odd under exp(i pi M)) has expectation 0. Any other term with k atomic
+operators has reduced expectation 2 direct (1 + sigma pi u_k), where direct
+is its value in the coherent point and pi the parity of its cross part;
+`_Frame.term` evaluates it, guarding 1 - u_k against cancellation.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from .model import (
     OneBodyExpectations,
     ParityBranch,
     StateObservables,
-    atomic_parity_flip,
     excitation_weights,
     mandel_q,
     symmetric_occupations,
@@ -85,22 +90,24 @@ class _Frame:
         self.s = math.exp(-2.0 * self.alpha_sq)
         self._log_t = math.log1p(delta / self.g) if self.t > 0.0 else None
 
-    def u(self, k: int) -> float:
-        expo = self.n - k
-        if expo < 0:
-            # Only ever multiplied by an (N-1)-type coefficient that is zero.
-            return 0.0
-        return self.s * self.t**expo
-
     def one_plus(self, sign: int, k: int) -> float:
-        """1 + sign * u_k, accurate when u_k -> 1 cancels against sign = -1."""
+        """1 + sign * u_k (k <= N), accurate when u_k -> 1 cancels against sign = -1."""
         if sign < 0 and self._log_t is not None:
             log_u = -2.0 * self.alpha_sq + (self.n - k) * self._log_t
             return -math.expm1(log_u)
-        return 1.0 + sign * self.u(k)
+        return 1.0 + sign * self.s * self.t ** (self.n - k)
+
+    def term(self, direct, parity: int, k: int):
+        """Reduced expectation of a term that keeps the branch: 2 direct (1 + sigma parity u_k).
+
+        ``direct`` is its value in the coherent point, ``parity`` that of its
+        cross part (the field and every gamma_i it carries), ``k`` the number
+        of atomic operators in it.
+        """
+        return 2.0 * direct * self.one_plus(self.sigma * parity, k)
 
     def kernel_reduced(self) -> float:
-        return 2.0 * self.one_plus(self.sigma, 0)
+        return self.term(1.0, 1, 0)
 
     def kernel_checked(self) -> float:
         kr = self.kernel_reduced()
@@ -117,22 +124,45 @@ class _Frame:
         return (-1) ** self.lam[i - 1]
 
 
-def kernel(
-    bra: CoherentPoint,
-    ket: CoherentPoint,
-    branch: ParityBranch,
-    config: AtomicConfiguration,
-    n_atoms: int,
-) -> complex:
-    """Overlap {bra|ket} of two SACS on the same branch (unnormalized states)."""
-    ket_flip = atomic_parity_flip(config, ket)
-    dot = sum(b.conjugate() * k for b, k in zip(bra.gammas, ket.gammas))
-    dot_flip = sum(b.conjugate() * k for b, k in zip(bra.gammas, ket_flip.gammas))
-    ov = bra.alpha.conjugate() * ket.alpha
-    return 2.0 * (
-        np.exp(ov) * dot**n_atoms
-        + branch.sign * np.exp(-ov) * dot_flip**n_atoms
-    )
+# Reduced numerators: the expectation times the reduced norm. A term that
+# changes the branch (odd under the excitation parity) has expectation 0.
+
+
+def _photons(f: _Frame) -> float:
+    return f.term(f.alpha_sq, -1, 0)
+
+
+def _a(f: _Frame, i: int, j: int) -> complex:
+    """<A_ij> reduced; it keeps the branch iff p_i = p_j."""
+    if f.parity(i) != f.parity(j):
+        return 0j
+    return f.term(f.n * f.gamma(i).conjugate() * f.gamma(j) / f.g, f.parity(i), 1)
+
+
+def _a_product(f: _Frame, i: int, j: int, k: int, l: int) -> complex:
+    # A_ij A_kl = delta_jk A_il + the two-body part over distinct atoms.
+    num = _a(f, i, l) if j == k else 0j
+    pi, pk = f.parity(i), f.parity(k)
+    if f.n > 1 and pi * f.parity(j) * pk * f.parity(l) == 1:
+        direct = (
+            f.n
+            * (f.n - 1)
+            * f.gamma(i).conjugate()
+            * f.gamma(j)
+            * f.gamma(k).conjugate()
+            * f.gamma(l)
+            / f.g**2
+        )
+        num += f.term(direct, pi * pk, 2)
+    return num
+
+
+def _a_field(f: _Frame, i: int, j: int) -> complex:
+    """<A_ij a> reduced; a flips the parity, so it keeps the branch iff p_i != p_j."""
+    if f.parity(i) == f.parity(j):
+        return 0j
+    alpha = f.sp.point.alpha
+    return f.term(f.n * alpha * f.gamma(i).conjugate() * f.gamma(j) / f.g, f.parity(i), 1)
 
 
 def kernel_reduced(sp: SacsPoint) -> float:
@@ -144,105 +174,35 @@ def expect_one_body(sp: SacsPoint) -> OneBodyExpectations:
     """Normalized <A_11>, <A_22>, <A_33>, <a'a>."""
     f = _Frame(sp)
     kr = f.kernel_checked()
-    pops = []
-    for i in (1, 2, 3):
-        num = (
-            2.0
-            * f.n
-            * abs(f.gamma(i)) ** 2
-            / f.g
-            * f.one_plus(f.sigma * f.parity(i), 1)
-        )
-        pops.append(num / kr)
-    n_phot = 2.0 * f.alpha_sq * f.one_plus(-f.sigma, 0) / kr
-    return OneBodyExpectations(pops[0], pops[1], pops[2], n_phot)
+    a11, a22, a33 = (_a(f, i, i).real / kr for i in (1, 2, 3))
+    return OneBodyExpectations(a11, a22, a33, _photons(f) / kr)
 
 
 def expect_a(sp: SacsPoint, i: int, j: int) -> complex:
     """Normalized <A_ij> for any index pair (diagonal included)."""
     f = _Frame(sp)
-    kr = f.kernel_checked()
-    pi, pj = f.parity(i), f.parity(j)
-    num = (
-        f.n
-        * f.gamma(i).conjugate()
-        * f.gamma(j)
-        / f.g
-        * ((1.0 + pi * pj) + f.sigma * f.u(1) * (pi + pj))
-    )
-    return num / kr
+    return _a(f, i, j) / f.kernel_checked()
 
 
 def expect_a_product(sp: SacsPoint, i: int, j: int, k: int, l: int) -> complex:
     """Normalized <A_ij A_kl>."""
     f = _Frame(sp)
-    kr = f.kernel_checked()
-    pi, pj, pk, pl = (f.parity(x) for x in (i, j, k, l))
-    num = 0.0 + 0.0j
-    if j == k:
-        num += (
-            f.n
-            * f.gamma(i).conjugate()
-            * f.gamma(l)
-            / f.g
-            * ((1.0 + pi * pl) + f.sigma * f.u(1) * (pi + pl))
-        )
-    if f.n > 1:
-        num += (
-            f.n
-            * (f.n - 1)
-            * f.gamma(i).conjugate()
-            * f.gamma(j)
-            * f.gamma(k).conjugate()
-            * f.gamma(l)
-            / f.g**2
-            * ((1.0 + pi * pj * pk * pl) + f.sigma * f.u(2) * (pj * pl + pi * pk))
-        )
-    return num / kr
+    return _a_product(f, i, j, k, l) / f.kernel_checked()
 
 
 def expect_photon_moments(sp: SacsPoint) -> tuple[float, float]:
-    """Normalized <a'a> and <(a'a)^2>."""
+    """Normalized <a'a> and <(a'a)^2> = <a'^2 a^2> + <a'a>."""
     f = _Frame(sp)
     kr = f.kernel_checked()
-    first = 2.0 * f.alpha_sq * f.one_plus(-f.sigma, 0) / kr
-    second = (
-        2.0
-        * f.alpha_sq
-        * ((f.alpha_sq + 1.0) + f.sigma * f.u(0) * (f.alpha_sq - 1.0))
-        / kr
-    )
-    return first, second
-
-
-def expect_population_squares(sp: SacsPoint) -> tuple[float, float, float]:
-    """Normalized <A_ii^2> for i = 1, 2, 3."""
-    f = _Frame(sp)
-    kr = f.kernel_checked()
-    out = []
-    for i in (1, 2, 3):
-        ai = abs(f.gamma(i)) ** 2
-        pi = f.parity(i)
-        diag = 1.0 / f.g + (f.n - 1) * ai / f.g**2
-        cross = pi * f.u(1) / f.g + (f.n - 1) * ai * f.u(2) / f.g**2
-        out.append(2.0 * f.n * ai * (diag + f.sigma * cross) / kr)
-    return tuple(out)
+    first = _photons(f)
+    return first / kr, (f.term(f.alpha_sq**2, 1, 0) + first) / kr
 
 
 def expect_photon_population_product(sp: SacsPoint, i: int) -> float:
     """Normalized <a'a A_ii>."""
     f = _Frame(sp)
     kr = f.kernel_checked()
-    ai = abs(f.gamma(i)) ** 2
-    return (
-        2.0
-        * f.n
-        * f.alpha_sq
-        * ai
-        / f.g
-        * f.one_plus(-f.sigma * f.parity(i), 1)
-        / kr
-    )
+    return f.term(f.alpha_sq * f.n * abs(f.gamma(i)) ** 2 / f.g, -f.parity(i), 1) / kr
 
 
 class InteractionPair(NamedTuple):
@@ -250,47 +210,19 @@ class InteractionPair(NamedTuple):
     dipole: float         # <(A_ij + A_ji)(a + a')>
 
 
-def _dipole_reduced(f: _Frame, i: int, j: int) -> float:
-    alpha = f.sp.point.alpha
-    gi, gj = f.gamma(i), f.gamma(j)
-    pi, pj = f.parity(i), f.parity(j)
-    cross_sym = gi.conjugate() * gj + gj.conjugate() * gi
-    cross_asym = gi.conjugate() * gj - gj.conjugate() * gi
-    # The parity-reflected field amplitude flips a + a', so the interference
-    # piece picks up alpha - alpha* rather than alpha + alpha*.
-    val = (1.0 - pi * pj) * 2.0 * alpha.real * cross_sym + f.sigma * f.u(1) * (
-        pi - pj
-    ) * (alpha - alpha.conjugate()) * cross_asym
-    return (f.n * val / f.g).real
-
-
-def _rwa_pair_reduced(f: _Frame, i: int, j: int) -> float:
-    alpha = f.sp.point.alpha
-    gi, gj = f.gamma(i), f.gamma(j)
-    pi, pj = f.parity(i), f.parity(j)
-    core = alpha.conjugate() * gi.conjugate() * gj + alpha * gj.conjugate() * gi
-    val = core * ((1.0 - pi * pj) + f.sigma * f.u(1) * (pj - pi))
-    return (f.n * val / f.g).real
-
-
 def expect_interaction(sp: SacsPoint) -> dict[tuple[int, int], InteractionPair]:
-    """<A_ij a> and <(A_ij + A_ji)(a + a')> over the scheme's allowed pairs."""
+    """<A_ij a> and <(A_ij + A_ji)(a + a')> over the scheme's allowed pairs.
+
+    <A_ij a'> is the conjugate of <A_ji a>, so the dipole is
+    2 Re(<A_ij a> + <A_ji a>).
+    """
     f = _Frame(sp)
     kr = f.kernel_checked()
     out = {}
     for i, j in sp.config.allowed_pairs:
-        pi, pj = f.parity(i), f.parity(j)
-        a_ij_a = (
-            f.n
-            * sp.point.alpha
-            * f.gamma(i).conjugate()
-            * f.gamma(j)
-            / f.g
-            * ((1.0 - pi * pj) + f.sigma * f.u(1) * (pi - pj))
-        )
-        out[(i, j)] = InteractionPair(
-            a_ij_a=a_ij_a / kr, dipole=_dipole_reduced(f, i, j) / kr
-        )
+        a_ij_a = _a_field(f, i, j)
+        dipole = 2.0 * (a_ij_a + _a_field(f, j, i)).real
+        out[(i, j)] = InteractionPair(a_ij_a=a_ij_a / kr, dipole=dipole / kr)
     return out
 
 
@@ -313,39 +245,26 @@ class MMoments:
 
 def expect_m_moments(sp: SacsPoint) -> MMoments:
     """Moments of the total excitation M = a'a + lambda2 A_22 + lambda3 A_33."""
-    f = _Frame(sp)
-    kr = f.kernel_checked()
-    l = f.lam
-    pops_w = sum(l[i - 1] * abs(f.gamma(i)) ** 2 for i in (2, 3)) / f.g
-    pops_wt = (
-        sum(f.parity(i) * l[i - 1] * abs(f.gamma(i)) ** 2 for i in (2, 3)) / f.g
-    )
-    mean = (
-        2.0 * (f.alpha_sq + f.n * pops_w)
-        + 2.0 * f.sigma * (-f.alpha_sq * f.u(0) + f.n * f.u(1) * pops_wt)
-    ) / kr
-
-    _, n2 = expect_photon_moments(sp)
-    second = n2
-    pop_sq = expect_population_squares(sp)
-    for i in (2, 3):
-        w = l[i - 1]
+    mean, second = expect_photon_moments(sp)
+    l2, l3 = excitation_weights(sp.config)
+    for i, w in ((2, l2), (3, l3)):
         if w == 0:
             continue
-        second += w**2 * pop_sq[i - 1]
+        mean += w * expect_a(sp, i, i).real
+        second += w**2 * expect_a_product(sp, i, i, i, i).real
         second += 2.0 * w * expect_photon_population_product(sp, i)
-    if l[1] and l[2]:
-        second += (
-            2.0 * l[1] * l[2] * expect_a_product(sp, 2, 2, 3, 3).real
-        )
+    if l2 and l3:
+        second += 2.0 * l2 * l3 * expect_a_product(sp, 2, 2, 3, 3).real
     return MMoments(mean=mean, second_moment=second)
 
 
 def sacs_energy(params: ModelParams, sp: SacsPoint) -> float:
     """Normalized Hamiltonian expectation in the SACS.
 
-    Assembled from the one-body and interaction expectations with the
-    Hamiltonian's own weights (interaction enters with -mu_ij/sqrt(N)).
+    Assembled from the one-body and interaction terms with the Hamiltonian's
+    own weights (interaction enters with -mu_ij/sqrt(N)). The rotating pair
+    A_ij a' + A_ji a has expectation 2 Re<A_ji a>; the full Hamiltonian adds
+    the counter-rotating 2 Re<A_ij a>.
     """
     if params.config is not sp.config:
         raise ValueError("configuration mismatch between params and state")
@@ -353,22 +272,13 @@ def sacs_energy(params: ModelParams, sp: SacsPoint) -> float:
         raise ValueError("atom-number mismatch between params and state")
     f = _Frame(sp)
     kr = f.kernel_checked()
-    num = 2.0 * params.omega * f.alpha_sq * f.one_plus(-f.sigma, 0)
+    num = params.omega * _photons(f)
     for i, w in zip((1, 2, 3), params.level_energies):
-        num += (
-            2.0
-            * w
-            * f.n
-            * abs(f.gamma(i)) ** 2
-            / f.g
-            * f.one_plus(f.sigma * f.parity(i), 1)
-        )
+        num += w * _a(f, i, i).real
     root_n = math.sqrt(f.n)
     for i, j in params.config.allowed_pairs:
-        pair = (
-            _rwa_pair_reduced(f, i, j) if params.rwa else _dipole_reduced(f, i, j)
-        )
-        num -= params.coupling(i, j) / root_n * pair
+        pair = _a_field(f, j, i) if params.rwa else _a_field(f, j, i) + _a_field(f, i, j)
+        num -= params.coupling(i, j) / root_n * 2.0 * pair.real
     return num / kr
 
 

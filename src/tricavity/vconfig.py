@@ -11,7 +11,7 @@ Functions marked "printed form" evaluate fixed-scaling (Omega = omega2 =
 omega3 = 1, omega1 = 0) closed expressions that are useful for comparison
 but are not all consistent with direct evaluation; see `checks` for the
 informational comparisons. The command line uses only `mu_critical` and
-`fit_gaussian`; `photon_dist_v`, `distribution_moments` and
+`fit_gaussian`; `photon_dist_v` (the paper's printed distribution) and
 `limit_observables` remain only as printed-form references for `checks`.
 """
 
@@ -40,7 +40,6 @@ class Approximation(Enum):
     COHERENT = "coherent"
     SACS_EVEN = "sacs-even"
     SACS_ODD = "sacs-odd"
-    EXACT = "exact"
 
     @property
     def branch(self) -> ParityBranch:
@@ -98,24 +97,6 @@ class VParams:
             n_atoms=self.n_atoms,
             config=AtomicConfiguration.V,
             rwa=self.rwa,
-        )
-
-    @classmethod
-    def from_model_params(cls, params: ModelParams) -> "VParams":
-        if params.config is not AtomicConfiguration.V:
-            raise ValueError("V-scheme closed forms need the V configuration")
-        if params.omega2 != params.omega3:
-            raise ValueError("double resonance requires omega2 == omega3")
-        mu = math.hypot(params.mu12, params.mu13)
-        theta = math.atan2(params.mu13, params.mu12) if mu > 0 else math.pi / 4
-        return cls(
-            mu=mu,
-            theta=theta,
-            omega=params.omega,
-            omega3=params.omega3,
-            omega1=params.omega1,
-            n_atoms=params.n_atoms,
-            rwa=params.rwa,
         )
 
     @property
@@ -225,11 +206,9 @@ def photon_dist_v(vp: VParams, approx: Approximation, nu_values) -> np.ndarray:
         out = np.zeros(nu_arr.shape)
         if approx in (Approximation.COHERENT, Approximation.SACS_EVEN):
             out[nu_arr == 0] = 1.0
-        elif approx is Approximation.SACS_ODD:
+        else:
             out[nu_arr == 0] = 0.5
             out[nu_arr == 1] = 0.5
-        else:
-            raise ValueError(f"no closed-form distribution for {approx.value}")
         return float(out[0]) if scalar_input else out
 
     log_pois = nu_arr * math.log(nb) - np.array(
@@ -238,31 +217,12 @@ def photon_dist_v(vp: VParams, approx: Approximation, nu_values) -> np.ndarray:
     pois = np.exp(log_pois)
     if approx is Approximation.COHERENT:
         return float(pois[0]) if scalar_input else pois
-    if approx not in (Approximation.SACS_EVEN, Approximation.SACS_ODD):
-        raise ValueError(f"no closed-form distribution for {approx.value}")
     sign = 1.0 if approx is Approximation.SACS_EVEN else -1.0
     # q = (2 mu)^(-2N) = ((gamma*.gamma~)/(gamma*.gamma))^N at the minimum.
     q = (2.0 * vp.mu_eff) ** (-2 * vp.n_atoms)
     parity = 1.0 - 2.0 * (nu_arr % 2)
     out = pois * (1.0 + sign * parity * q) / (1.0 + sign * q * math.exp(-2.0 * nb))
     return float(out[0]) if scalar_input else out
-
-
-def distribution_moments(vp: VParams, approx: Approximation, tail: float = 1e-14):
-    """(mean, variance) of the closed-form photon distribution."""
-    if vp.regime() is Regime.NORMAL:
-        p = photon_dist_v(vp, approx, [0, 1])
-        mean = float(p[1])
-        return mean, float(p[1]) - mean**2
-    nb = nu_bar(vp)
-    top = int(math.ceil(nb + 12.0 * math.sqrt(nb + 1.0) + 25.0))
-    nus = np.arange(top + 1)
-    p = photon_dist_v(vp, approx, nus)
-    if abs(1.0 - p.sum()) > tail * 10 + 1e-12:
-        raise ValueError(f"distribution truncated too early, mass {p.sum():.15f}")
-    mean = float(np.sum(nus * p))
-    second = float(np.sum(nus.astype(float) ** 2 * p))
-    return mean, second - mean**2
 
 
 def mandel_q_m(vp: VParams, approx: Approximation) -> float | None:
@@ -287,8 +247,6 @@ def linear_entropy_v(vp: VParams, approx: Approximation) -> float:
     """
     if approx is Approximation.COHERENT:
         return 0.0
-    if approx not in (Approximation.SACS_EVEN, Approximation.SACS_ODD):
-        raise ValueError(f"no closed-form entropy for {approx.value}")
     _require_printed_scaling(vp, "the linear-entropy closed form")
     mu = vp.mu_eff
     n = vp.n_atoms
@@ -367,19 +325,17 @@ def limit_observables(vp: VParams, approx: Approximation) -> dict:
         base["energy"] = vp.omega1
         base["q_m"] = 1.0
         return base
-    if approx is Approximation.SACS_ODD:
-        half = 0.5
-        return {
-            "energy": vp.omega1 + 1.0 / (2.0 * n),
-            "photons": half / n,
-            "a11": 1.0 - half / n,
-            "a22": half * math.cos(vp.theta) ** 2 / n,
-            "a33": half * math.sin(vp.theta) ** 2 / n,
-            "m_mean": 1.0,
-            "m_var": 0.0,
-            "q_m": -1.0,
-            "entropy": 0.5,
-            "photon_mean": half,
-            "photon_std": half,
-        }
-    raise ValueError(f"no closed-form limits for {approx.value}")
+    half = 0.5
+    return {
+        "energy": vp.omega1 + 1.0 / (2.0 * n),
+        "photons": half / n,
+        "a11": 1.0 - half / n,
+        "a22": half * math.cos(vp.theta) ** 2 / n,
+        "a33": half * math.sin(vp.theta) ** 2 / n,
+        "m_mean": 1.0,
+        "m_var": 0.0,
+        "q_m": -1.0,
+        "entropy": 0.5,
+        "photon_mean": half,
+        "photon_std": half,
+    }

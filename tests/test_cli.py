@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tricavity import cli
+from tricavity import cli, fock
 
 CMD = [sys.executable, "-m", "tricavity.cli"]
 
@@ -339,6 +339,18 @@ class TestSpectrumAndValidate:
         for vals in sectors.values():
             assert vals == sorted(vals) and len(vals) == 3
         assert abs(sectors["even"][0] + 1.1542805451522746) < 1e-8
+
+    def test_spectrum_builds_the_hamiltonian_once(self, monkeypatch):
+        # Both sectors are sliced from one Hamiltonian.
+        build, builds = fock.build_hamiltonian, []
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(fock, "build_hamiltonian", counted)
+        run_cli("spectrum", "--mu", "1")
+        assert len(builds) == 1
 
     def test_validate_fast_passes(self):
         proc = run_cli("validate", "--level", "fast")

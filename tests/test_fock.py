@@ -104,9 +104,7 @@ class TestHamiltonianStructure:
         p = vp.to_model_params()
         space = fock.TruncatedSpace(p.n_atoms, 40)
         result = fock.ground_states(p, space, certify=False)
-        for branch in BRANCHES:
-            vals = fock.sector_spectrum(p, space, branch, k=2)
-            ground = result.even if branch is ParityBranch.EVEN else result.odd
+        for vals, ground in zip(fock.sector_spectrum(p, space, k=2), (result.even, result.odd)):
             assert abs(vals[0] - ground.energy) < 1e-10
             assert vals[1] > vals[0]
 
@@ -372,10 +370,9 @@ class TestLanczosPath:
             mu12=0.3, mu13=0.3, mu23=0.0, n_atoms=1,
         )
         space = fock.TruncatedSpace(1, 60)
-        dense = [fock.sector_spectrum(p, space, b, k=12) for b in BRANCHES]
+        dense = fock.sector_spectrum(p, space, k=12)
         monkeypatch.setattr(fock, "DENSE_CUTOFF", 20)
-        for branch, ref in zip(BRANCHES, dense):
-            vals = fock.sector_spectrum(p, space, branch, k=12)
+        for vals, ref in zip(fock.sector_spectrum(p, space, k=12), dense):
             assert np.abs(vals - ref).max() < 1e-10
 
     def test_large_k_returns_whole_sector(self, monkeypatch):
@@ -385,10 +382,9 @@ class TestLanczosPath:
         space = fock.TruncatedSpace(1, 200)
         sizes = [idx.size for idx in fock.parity_sectors(space, p.config)]
         assert min(sizes) > fock.DENSE_CUTOFF
-        found = [fock.sector_spectrum(p, space, b, k=400) for b in BRANCHES]
+        found = fock.sector_spectrum(p, space, k=400)
         monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
-        for vals, size, branch in zip(found, sizes, BRANCHES):
-            ref = fock.sector_spectrum(p, space, branch, k=400)
+        for vals, size, ref in zip(found, sizes, fock.sector_spectrum(p, space, k=400)):
             assert vals.size == size
             assert np.all(np.diff(vals) >= 0)
             assert np.abs(vals - ref).max() < 1e-10

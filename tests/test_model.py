@@ -159,23 +159,11 @@ class TestCoherentPoint:
 
 class TestRegimeAndRwa:
     def test_regime_threshold(self):
-        def regime(p):
-            return VParams.from_model_params(p).regime()
-
-        assert regime(make_v_params(0.49)) is Regime.NORMAL
-        assert regime(make_v_params(0.5)) is Regime.NORMAL
-        assert regime(make_v_params(0.51)) is Regime.COLLECTIVE
-        assert regime(make_v_params(0.99, rwa=True)) is Regime.NORMAL
-        assert regime(make_v_params(1.01, rwa=True)) is Regime.COLLECTIVE
-
-    def test_regime_requires_v_double_resonance(self):
-        xi = ModelParams(1.0, 0.0, 1.0, 1.0, 0.5, 0.0, 0.5, 2,
-                         config=AtomicConfiguration.XI)
-        with pytest.raises(ValueError):
-            VParams.from_model_params(xi)
-        detuned = ModelParams(1.0, 0.0, 0.9, 1.0, 0.5, 0.5, 0.0, 2)
-        with pytest.raises(ValueError):
-            VParams.from_model_params(detuned)
+        assert VParams(mu=0.49).regime() is Regime.NORMAL
+        assert VParams(mu=0.5).regime() is Regime.NORMAL
+        assert VParams(mu=0.51).regime() is Regime.COLLECTIVE
+        assert VParams(mu=0.99, rwa=True).regime() is Regime.NORMAL
+        assert VParams(mu=1.01, rwa=True).regime() is Regime.COLLECTIVE
 
     def test_rwa_map_doubles_couplings(self):
         p = make_v_params(0.7)

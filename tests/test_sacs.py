@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tricavity.errors import DegenerateState, IndeterminateQ
-from tricavity.model import CoherentPoint, ParityBranch, parity_partner
+from tricavity.model import AtomicConfiguration, CoherentPoint, ParityBranch, parity_partner
 from tricavity.sacs import (
     SacsPoint,
     expect_a,
@@ -82,6 +82,24 @@ class TestOneBody:
                 val = expect_a(sp, i, i)
                 assert abs(val.imag) < 1e-12
                 assert abs(val.real - pop) < 1e-10
+
+    def test_diagonal_transition_near_origin(self):
+        # The odd SACS near the origin, where 1 - u_1 cancels (V, N = 2).
+        # Along this direction the populations tend to (3/2, 1/4, 1/4) with
+        # corrections of order eps^2, and <A_ii> and the one-body record must
+        # both get there.
+        for eps in (1e-5, 1e-6):
+            point = CoherentPoint(
+                alpha=complex(eps * math.sqrt(2.0)),
+                gamma2=complex(eps / math.sqrt(2.0)),
+                gamma3=complex(eps / math.sqrt(2.0)),
+            )
+            sp = SacsPoint(point, ParityBranch.ODD, AtomicConfiguration.V, 2)
+            one = expect_one_body(sp)
+            for i, pop, limit in zip((1, 2, 3), (one.a11, one.a22, one.a33), (1.5, 0.25, 0.25)):
+                val = expect_a(sp, i, i).real
+                assert abs(val - pop) < 1e-12
+                assert abs(val - limit) < 1e-8
 
 
 class TestSymmetries:

@@ -13,7 +13,6 @@ from tricavity.vconfig import (
     VParams,
     critical_coherent_point,
     critical_point_v,
-    distribution_moments,
     e_min_v,
     fit_gaussian,
     limit_observables,
@@ -50,22 +49,6 @@ class TestVParams:
             VParams(mu=1.0, omega=0.0)
         with pytest.raises(ValueError):
             VParams(mu=1.0, omega1=1.0, omega3=1.0)
-
-    def test_round_trip_through_model_params(self):
-        rng = np.random.default_rng(401)
-        for _ in range(25):
-            vp = VParams(
-                mu=rng.uniform(0.1, 3.0),
-                theta=rng.uniform(0.0, math.pi / 2),
-                omega=rng.uniform(0.7, 1.3),
-                omega3=rng.uniform(0.8, 1.5),
-                n_atoms=int(rng.integers(1, 7)),
-                rwa=bool(rng.integers(2)),
-            )
-            back = VParams.from_model_params(vp.to_model_params())
-            assert abs(back.mu - vp.mu) < 1e-12
-            assert abs(back.theta - vp.theta) < 1e-12
-            assert back.n_atoms == vp.n_atoms and back.rwa == vp.rwa
 
     def test_critical_coupling(self):
         assert mu_critical(1.0, 1.0, rwa=False) == 0.5
@@ -170,15 +153,24 @@ class TestPhotonDistributions:
             assert abs(arr[2] - scalar) < 1e-15
 
     def test_normalization_and_moments(self):
+        # Summed moments against the independent closed forms: nu_bar for the
+        # coherent state, the SACS photon moments for the parity branches.
         rng = np.random.default_rng(421)
         for _ in range(12):
             vp = VParams(mu=rng.uniform(0.7, 3.0), n_atoms=int(rng.integers(1, 5)))
             top = int(nu_bar(vp) + 14 * math.sqrt(nu_bar(vp) + 1) + 30)
             nus = np.arange(top + 1)
-            for approx in (Approximation.COHERENT,) + SACS_BRANCHES:
+            for approx, branch in zip(
+                (Approximation.COHERENT,) + SACS_BRANCHES,
+                (None, ParityBranch.EVEN, ParityBranch.ODD),
+            ):
                 p = photon_dist_v(vp, approx, nus)
                 assert abs(p.sum() - 1.0) < 1e-12
-                mean, var = distribution_moments(vp, approx)
+                if branch is None:
+                    mean, var = nu_bar(vp), nu_bar(vp)
+                else:
+                    mean, second = sacs.expect_photon_moments(sacs_at_minimum(vp, branch))
+                    var = second - mean**2
                 assert abs(float(nus @ p) - mean) < 1e-10 * max(1.0, mean)
                 assert abs(float(nus**2 @ p) - mean**2 - var) < 1e-9 * max(1.0, var)
 
