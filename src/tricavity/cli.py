@@ -137,10 +137,12 @@ def _make_params(args, mu: float, theta: float, n_atoms: int) -> ModelParams:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _checked_space(n_atoms: int, nu_max: int) -> fock.TruncatedSpace:
+def _checked_space(
+    n_atoms: int, nu_max: int, dark_level: int | None = None
+) -> fock.TruncatedSpace:
     """The truncated space, with its basis-size limit reported as bad input."""
     try:
-        return fock.TruncatedSpace(n_atoms, nu_max)
+        return fock.TruncatedSpace(n_atoms, nu_max, dark_level)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"--nu-max {nu_max}: {exc}") from None
 
@@ -173,12 +175,12 @@ def _sacs_columns(params: ModelParams, crit: surface.CriticalPoint, branch: Pari
 
 def _exact_columns(params: ModelParams, nu_max: int | None) -> dict:
     if nu_max is not None:
-        space = fock.TruncatedSpace(params.n_atoms, nu_max)
+        space = fock.TruncatedSpace(params.n_atoms, nu_max, fock.dark_level(params))
         result = fock.ground_states(params, space, certify=False)
     else:
         result = fock.converged_ground_states(params)
     ground = result.global_ground
-    obs = fock.ground_observables(ground, params.config)
+    obs = fock.ground_observables(ground, params)
     return {**_columns(params.n_atoms, obs), "parity": float(ground.sector.sign)}
 
 
@@ -280,7 +282,8 @@ def cmd_sweep(args, parser) -> int:
     approxes = args.branch
     outputs = args.outputs
     if "exact" in approxes and args.nu_max is not None:
-        _checked_space(max(atoms_axis), args.nu_max)
+        frame = _make_params(args, mu_axis[0], theta_axis[0], max(atoms_axis))
+        _checked_space(frame.n_atoms, args.nu_max, fock.dark_level(frame))
 
     tasks = []
     for n_atoms in atoms_axis:

@@ -5,15 +5,20 @@ running over the totally symmetric N-atom occupations. Indexing is nu-major,
 then lexicographic in (n2, n3), matching `model.symmetric_occupations`.
 Everything here is the ground truth the variational formulas are tested
 against. Each operator is one CSR construction from index arrays (the A_ij
-entries cached read-only per (N, i, j)), with the stored arrays of its
-Kronecker-product form bit for bit.
+entries cached read-only per (N, i, j, dark level)), with the stored arrays
+of its Kronecker-product form bit for bit.
+
+Where the frame makes the two levels of a coupled pair degenerate (V with
+omega2 = omega3, Lambda with omega1 = omega2), only their bright combination
+couples, the dark one's number is conserved, and the ground-state solve runs
+on the block without dark atoms (see `dark_level`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -51,23 +56,86 @@ CERTIFICATE_DELTA = 1e-10
 NU_MAX_LIMIT = 5120
 
 
+# Per scheme: the coupled pair (p, q) whose degeneracy makes a dark state,
+# and the level r that both couple to.
+_COUPLED_PAIRS = {
+    AtomicConfiguration.V: (2, 3, 1),
+    AtomicConfiguration.LAMBDA: (1, 2, 3),
+}
+
+
 def suggested_nu_max(alpha: complex) -> int:
     """Cutoff heuristic: mean + 10 standard deviations + margin."""
     x = abs(alpha) ** 2
     return math.ceil(x + 10.0 * math.sqrt(x + 1.0) + 20.0)
 
 
-class TruncatedSpace:
-    """Truncated product basis with deterministic indexing."""
+def dark_level(params: ModelParams) -> int | None:
+    """Level q of a degenerate coupled pair (p, q), else None.
 
-    def __init__(self, n_atoms: int, nu_max: int):
+    With omega_p = omega_q, H sees the pair only through the bright state
+    b = (mu_pr |p> + mu_qr |q>) / mu, mu = hypot(mu_pr, mu_qr). The
+    orthogonal dark state d is uncoupled, so its number n_d commutes with H,
+    with or without the RWA, and both sector ground states lie in the
+    n_d = 0 block (README). Rotated so that b is level p, that block is the
+    space whose level q stays empty.
+    """
+    pair = _COUPLED_PAIRS.get(params.config)
+    if pair is None:
+        return None
+    p, q, _ = pair
+    energies = params.level_energies
+    return q if energies[p - 1] == energies[q - 1] else None
+
+
+def _bright_rotation(params: ModelParams) -> tuple[ModelParams, int, int, tuple[float, float]]:
+    """(rotated params, p, q, shares) of a frame with a dark level.
+
+    The rotated parameters carry mu on the pair (p, r) and 0 on (q, r), so
+    level p is b; `shares` split <n_b> into <n_p> and <n_q>.
+    """
+    p, q, r = _COUPLED_PAIRS[params.config]
+    mu_p, mu_q = params.coupling(p, r), params.coupling(q, r)
+    mu = math.hypot(mu_p, mu_q)
+    if mu > 0.0:
+        shares = ((mu_p / mu) ** 2, (mu_q / mu) ** 2)
+    else:
+        # Every split is a ground state; the full basis, ordered by n2 first,
+        # meets the one that leaves level 2 empty first.
+        shares = (float(p != 2), float(q != 2))
+    names = {level: f"mu{min(level, r)}{max(level, r)}" for level in (p, q)}
+    rotated = replace(params, **{names[p]: mu, names[q]: 0.0})
+    return rotated, p, q, shares
+
+
+def _occupations(n_atoms: int, dark_level: int | None) -> list[tuple[int, int, int]]:
+    """Symmetric occupations in the (n2, n3) order; none in `dark_level` (2 or 3)."""
+    if dark_level is None:
+        return symmetric_occupations(n_atoms)
+    if dark_level == 3:
+        return [(n_atoms - k, k, 0) for k in range(n_atoms + 1)]
+    return [(n_atoms - k, 0, k) for k in range(n_atoms + 1)]
+
+
+class TruncatedSpace:
+    """Truncated product basis with deterministic indexing.
+
+    With a `dark_level` the space is the block whose occupations leave that
+    level empty: the bright block of a frame with that dark level (see
+    `dark_level`).
+    """
+
+    def __init__(self, n_atoms: int, nu_max: int, dark_level: int | None = None):
         if n_atoms < 1:
             raise ValueError("n_atoms must be positive")
         if nu_max < 0:
             raise ValueError("nu_max must be nonnegative")
+        if dark_level not in (None, 2, 3):
+            raise ValueError(f"a dark level is 2 or 3, got {dark_level}")
         self.n_atoms = n_atoms
         self.nu_max = nu_max
-        self.occupations = symmetric_occupations(n_atoms)
+        self.dark_level = dark_level
+        self.occupations = _occupations(n_atoms, dark_level)
         if self.dimension > MAX_DIMENSION:
             raise ValueError(
                 f"basis dimension {self.dimension} exceeds the limit {MAX_DIMENSION}"
@@ -89,18 +157,25 @@ class TruncatedSpace:
 
 
 @functools.cache
-def _atomic_entries(n_atoms: int, i: int, j: int) -> tuple[np.ndarray, ...]:
+def _atomic_entries(
+    n_atoms: int, i: int, j: int, dark_level: int | None = None
+) -> tuple[np.ndarray, ...]:
     """Read-only (rows, cols, amplitudes) of A_ij, sorted by (row, col).
 
-    Column k is occupation k; its entry moves one atom from level j to i,
-    with amplitude sqrt(n_j (n_i + 1)) (n_i on the diagonal), into the row
-    of rank n2 (N + 1) - n2 (n2 - 1) / 2 + n3 in the (n2, n3) order.
+    Column k is occupation k of the space; its entry moves one atom from
+    level j to i, with amplitude sqrt(n_j (n_i + 1)) (n_i on the diagonal),
+    into the row of the moved occupation. Rows are ranked through the key
+    n2 (N + 1) + n3, which increases along the (n2, n3) order; a move into
+    the dark level leaves the space and has no entry.
     """
-    occ = np.array(symmetric_occupations(n_atoms))
+    occ = np.array(_occupations(n_atoms, dark_level))
+    keys = occ[:, 1] * (n_atoms + 1) + occ[:, 2]
     cols = np.flatnonzero(occ[:, j - 1])
     moved = occ[cols] + np.eye(3, dtype=int)[i - 1] - np.eye(3, dtype=int)[j - 1]
-    n2, n3 = moved[:, 1], moved[:, 2]
-    rows = n2 * (n_atoms + 1) - n2 * (n2 - 1) // 2 + n3
+    moved_keys = moved[:, 1] * (n_atoms + 1) + moved[:, 2]
+    rows = np.searchsorted(keys, moved_keys)
+    inside = keys[np.minimum(rows, keys.size - 1)] == moved_keys
+    rows, cols, moved = rows[inside], cols[inside], moved[inside]
     amps = np.sqrt(occ[cols, j - 1] * moved[:, i - 1])
     order = np.lexsort((cols, rows))
     entries = rows[order], cols[order], amps[order]
@@ -110,17 +185,35 @@ def _atomic_entries(n_atoms: int, i: int, j: int) -> tuple[np.ndarray, ...]:
 
 
 def _csr(size: int, blocks) -> sparse.csr_matrix:
-    """Square CSR matrix owning sorted copies of (rows, cols, values) blocks."""
-    blocks = list(blocks) or [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]
-    rows, cols, data = (np.concatenate(part) for part in zip(*blocks))
-    order = np.argsort(rows * size + cols, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
-    return sparse.csr_matrix((data[order], cols[order], indptr), shape=(size, size))
+    """Square CSR matrix owning copies of (rows, cols, values) blocks.
+
+    No row repeats within a block (each is a diagonal or a one-to-one map of
+    basis states), so a block scatters straight into the next free slot of
+    each of its rows; the columns of each row are then sorted in place. No
+    (row, col) repeats across blocks either, so this is the canonical form.
+    """
+    blocks = list(blocks)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    for rows, _, _ in blocks:
+        indptr[1:] += np.bincount(rows, minlength=size).astype(np.int32)
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    free = indptr[:-1].copy()
+    for rows, cols, values in blocks:
+        slots = free[rows]
+        indices[slots] = cols
+        data[slots] = values
+        free[rows] += 1
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=(size, size))
+    matrix.sort_indices()
+    return matrix
 
 
 def atomic_transition(space: TruncatedSpace, i: int, j: int) -> sparse.csr_matrix:
     """Collective A_ij = b_i' b_j on the atomic factor alone."""
-    return _csr(space.atomic_dimension, [_atomic_entries(space.n_atoms, i, j)])
+    entries = _atomic_entries(space.n_atoms, i, j, space.dark_level)
+    return _csr(space.atomic_dimension, [entries])
 
 
 def _lift_atomic(space: TruncatedSpace, op: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -194,7 +287,7 @@ def _coupling_entries(params: ModelParams, space: TruncatedSpace, steps: tuple[i
         mu = params.coupling(i, j)
         if mu == 0.0:
             continue
-        rows, cols, amps = _atomic_entries(space.n_atoms, i, j)
+        rows, cols, amps = _atomic_entries(space.n_atoms, i, j, space.dark_level)
         values = (-(mu / math.sqrt(params.n_atoms)) * (root * amps)).ravel()
         for step in steps:
             # a' raises nu on the row side of the block, a on the column side.
@@ -294,6 +387,24 @@ def build_sacs_vector(
     return StateVector(space=space, data=psi.ravel())
 
 
+def _components(block: sparse.csr_matrix):
+    """Yield (indices, sub-block) per connected component of the coupling graph.
+
+    A block of several components is permuted once, members grouped by
+    component in index order, so that each component is a contiguous
+    diagonal slice of it.
+    """
+    n_parts, labels = connected_components(block != 0, directed=False)
+    if n_parts == 1:
+        yield np.arange(block.shape[0]), block
+        return
+    members = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels))
+    permuted = block[members][:, members]
+    for part, end in zip(np.split(members, ends[:-1]), ends):
+        yield part, permuted[end - part.size : end, end - part.size : end]
+
+
 def _lowest_eigenpairs(
     block: sparse.csr_matrix, k: int, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -314,14 +425,10 @@ def _lowest_eigenpairs(
     vector of the enclosing block, which is nearly the answer). The
     components' pairs are merged by a stable sort.
     """
-    n_parts, labels = connected_components(block != 0, directed=False)
-    members = np.argsort(labels, kind="stable")
-    parts = np.split(members, np.cumsum(np.bincount(labels))[:-1])
     values, columns = [], []
-    for part in parts:
+    for part, sub in _components(block):
         n = part.size
         kk = min(k, n)
-        sub = block[np.ix_(part, part)] if n_parts > 1 else block
         if n <= DENSE_CUTOFF or 16 * kk >= n:
             vals, vecs = scipy.linalg.eigh(sub.toarray(), subset_by_index=(0, kk - 1))
         else:
@@ -354,15 +461,25 @@ class SectorGround:
     sector: ParityBranch
 
 
-def ground_observables(ground: SectorGround, config: AtomicConfiguration) -> StateObservables:
-    """Observables of an exact sector ground state (totals, not per atom)."""
+def ground_observables(ground: SectorGround, params: ModelParams) -> StateObservables:
+    """Observables of an exact sector ground state (totals, not per atom).
+
+    On a bright block the populations of b split back over its pair; the
+    other observables are those of the block state, since the rotation is a
+    one-body unitary on the atoms and the block embeds isometrically.
+    """
     vec = ground.state
     space = vec.space
-    mop = m_operator(space, config)
+    mop = m_operator(space, params.config)
     m_mean = vec.expectation(mop).real
     m_var = vec.expectation(mop @ mop).real - m_mean**2
     rho = vec.atomic_density_matrix()
-    a11, a22, a33 = np.array(space.occupations).T @ np.diag(rho).real
+    pops = np.array(space.occupations).T @ np.diag(rho).real
+    if space.dark_level is not None:
+        _, p, q, (share_p, share_q) = _bright_rotation(params)
+        n_bright = pops[p - 1]
+        pops[p - 1], pops[q - 1] = share_p * n_bright, share_q * n_bright
+    a11, a22, a33 = pops
     dist = vec.photon_distribution()
     nus = np.arange(dist.size)
     dist_mean = float(nus @ dist)
@@ -387,7 +504,14 @@ class GroundStateResult:
 
 
 def _sector_blocks(params: ModelParams, space: TruncatedSpace):
-    """Yield (branch, indices, H block) for the even, then the odd sector."""
+    """Yield (branch, indices, H block) for the even, then the odd sector.
+
+    On a bright block H is that of the rotated parameters.
+    """
+    if space.dark_level is not None:
+        if space.dark_level != dark_level(params):
+            raise ValueError("the space is not the bright block of these parameters")
+        params = _bright_rotation(params)[0]
     h = build_hamiltonian(params, space)
     for branch, indices in zip(ParityBranch, parity_sectors(space, params.config)):
         yield branch, indices, h[np.ix_(indices, indices)].tocsr()
@@ -400,6 +524,8 @@ def ground_states(
 ) -> GroundStateResult:
     """Per-parity-sector ground states with a cutoff-convergence certificate.
 
+    The space is the full one or the bright block of the parameters' frame
+    (`TruncatedSpace(n, nu_max, dark_level(params))`); the states live on it.
     The certificate compares each sector energy against the same computation
     at nu_max - 10 and requires agreement within CERTIFICATE_DELTA. The basis
     is nu-major, so the nu_max - 10 sector is the leading principal block of
@@ -437,17 +563,19 @@ def ground_states(
 def converged_ground_states(params: ModelParams) -> GroundStateResult:
     """Double the cutoff from the coherent estimate until the certificate holds.
 
-    The first cutoff is suggested_nu_max at the minimum of the coherent
-    surface (its best candidate if the minimizer did not converge: the
-    estimate is only a starting guess, the certificate decides). Raises
-    CutoffNotConverged once the next cutoff passes NU_MAX_LIMIT or its basis
-    would pass MAX_DIMENSION.
+    The solve runs on the bright block where the frame has a dark level,
+    else on the full space. The first cutoff is suggested_nu_max at the
+    minimum of the coherent surface (its best candidate if the minimizer did
+    not converge: the estimate is only a starting guess, the certificate
+    decides). Raises CutoffNotConverged once the next cutoff passes
+    NU_MAX_LIMIT or its basis would pass MAX_DIMENSION.
     """
     try:
         crit = surface.minimize_surface(params)
     except NonConvergence as exc:
         crit = exc.best
-    atomic_dimension = len(symmetric_occupations(params.n_atoms))
+    dark = dark_level(params)
+    atomic_dimension = len(_occupations(params.n_atoms, dark))
     nu_max, delta = suggested_nu_max(crit.rho), None
     while nu_max <= NU_MAX_LIMIT:
         dimension = (nu_max + 1) * atomic_dimension
@@ -458,7 +586,7 @@ def converged_ground_states(params: ModelParams) -> GroundStateResult:
                 delta=delta,
             )
         try:
-            return ground_states(params, TruncatedSpace(params.n_atoms, nu_max))
+            return ground_states(params, TruncatedSpace(params.n_atoms, nu_max, dark))
         except CutoffNotConverged as exc:
             nu_max, delta = 2 * nu_max, exc.delta
     raise CutoffNotConverged(

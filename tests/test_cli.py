@@ -157,6 +157,27 @@ class TestSweep:
         assert column(header, rows, "exact_energy") == [0.0]
         assert column(header, rows, "exact_parity") == [1.0]
 
+    def test_bright_block_reaches_large_n(self):
+        # At double resonance the solve runs on the n_d = 0 block: 51 x 683
+        # states, where the full space would need 1326 x 683.
+        proc = run_cli("sweep", "--branch", "exact", "--mu", "3", "--n-atoms", "50")
+        _, header, rows = parse_csv(proc.stdout)
+        assert len(rows) == 1
+        values = [float(cell) for cell in rows[0]]
+        assert all(math.isfinite(v) for v in values)
+        assert abs(sum(column(header, rows, f"exact_a{k}{k}")[0] for k in (1, 2, 3)) - 1) < 1e-12
+        proc = run_cli(
+            "sweep", "--branch", "exact", "--mu", "3", "--n-atoms", "50", "--omega2", "0.9",
+            expect=3,
+        )
+        assert "basis limit" in proc.stderr
+
+    def test_bright_block_vacuum_at_zero_coupling(self):
+        proc = run_cli("sweep", "--branch", "exact", "--mu", "0", "--outputs", "populations")
+        _, header, rows = parse_csv(proc.stdout)
+        assert column(header, rows, "exact_a11") == [1.0]
+        assert column(header, rows, "exact_a22") == column(header, rows, "exact_a33") == [0.0]
+
     @pytest.mark.parametrize("flags", [("--omega", "2"), ("--atom-config", "xi")])
     def test_normal_regime_branches_in_other_frames(self, flags):
         proc = run_cli("sweep", "--mu", "0.3", "--branch", "even,odd", *flags)
@@ -283,9 +304,10 @@ class TestPhotonDist:
 
     def test_exact_basis_limit_is_numerical_failure(self):
         # N = 200 needs 31 x 20301 states at the first cutoff, over the limit.
+        # Off double resonance: the default frame solves 31 x 201 states.
         proc = run_cli(
             "photon-dist", "--branch", "exact", "--mu", "0.3", "--n-atoms", "200",
-            expect=3,
+            "--omega2", "0.9", expect=3,
         )
         assert "Traceback" not in proc.stderr
         assert "basis limit" in proc.stderr

@@ -1,6 +1,8 @@
 """Truncated-space diagonalization and its use as an expectation oracle."""
 
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -308,6 +310,141 @@ class TestIndexAssembly:
             assert _same_arrays(build(), expected)
 
 
+def _bright_frames():
+    """Double-resonance frames: V with omega2 = omega3, Lambda with omega1 = omega2."""
+    for w23, w1 in itertools.product((1.0, 1.3), (0.0, 0.2)):
+        yield AtomicConfiguration.V, dict(omega=1.0, omega1=w1, omega2=w23, omega3=w23)
+    for w12 in (0.0, 0.2):
+        yield AtomicConfiguration.LAMBDA, dict(omega=1.0, omega1=w12, omega2=w12, omega3=1.4)
+
+
+def _observable_values(obs) -> list[float]:
+    """Every field of a StateObservables; an undefined Q_M (<M> = 0) reads inf."""
+    q_m = math.inf if obs.q_m is None else obs.q_m
+    return [obs.energy, *obs.one_body, obs.photon_var, obs.m_mean, obs.m_var, q_m, obs.entropy]
+
+
+class TestBrightBlock:
+    def test_frames_with_a_dark_level(self):
+        v = VParams(mu=1.0, n_atoms=4).to_model_params()
+        assert fock.dark_level(v) == 3
+        assert fock.dark_level(replace(v, omega2=0.9)) is None
+        lam = ModelParams(
+            omega=1.0, omega1=0.2, omega2=0.2, omega3=1.4,
+            **couplings_from_magnitude(AtomicConfiguration.LAMBDA, 1.0, 0.7),
+            n_atoms=4, config=AtomicConfiguration.LAMBDA,
+        )
+        assert fock.dark_level(lam) == 2
+        assert fock.dark_level(replace(lam, omega1=0.0)) is None
+        xi = _frame_params(AtomicConfiguration.XI, False, "default", 4)
+        assert fock.dark_level(xi) is None
+        for dark, occupations in ((3, [(4 - k, k, 0) for k in range(5)]),
+                                  (2, [(4 - k, 0, k) for k in range(5)])):
+            space = fock.TruncatedSpace(4, 6, dark)
+            assert space.occupations == occupations
+            assert space.dimension == 7 * 5
+        with pytest.raises(ValueError):
+            fock.TruncatedSpace(4, 6, 1)
+        with pytest.raises(ValueError):
+            fock.ground_states(replace(v, omega2=0.9), fock.TruncatedSpace(4, 20, 3))
+
+    @pytest.mark.parametrize("rwa", (False, True))
+    def test_block_equals_full_oracle(self, rwa):
+        # Same cutoff on both. Observables are compared where the full sector
+        # ground is nondegenerate; elsewhere any state of the degenerate
+        # level is a ground state and each oracle returns its own.
+        nu_max = 16
+        cases = ((1, 0.0, 0.7), (2, 0.3, 1.2), (4, 1.0, 0.7), (7, 1.6, 1.2))
+        compared = 0
+        for (config, freqs), (n, mu, theta) in itertools.product(_bright_frames(), cases):
+            p = ModelParams(
+                **freqs, **couplings_from_magnitude(config, mu, theta),
+                n_atoms=n, config=config, rwa=rwa,
+            )
+            space = fock.TruncatedSpace(n, nu_max, fock.dark_level(p))
+            block = fock.ground_states(p, space, certify=False)
+            full_space = fock.TruncatedSpace(n, nu_max)
+            full = fock.ground_states(p, full_space, certify=False)
+            spectra = fock.sector_spectrum(p, full_space, k=2)
+            for branch, values in zip(("even", "odd"), spectra):
+                ours, ref = getattr(block, branch), getattr(full, branch)
+                assert abs(ours.energy - ref.energy) <= 1e-10 * max(1.0, abs(ref.energy))
+                if values[1] - values[0] < 1e-8:
+                    continue
+                compared += 1
+                found = _observable_values(fock.ground_observables(ours, p))
+                expected = _observable_values(fock.ground_observables(ref, p))
+                for x, y in zip(found, expected):
+                    assert x == y or abs(x - y) <= 1e-10 * max(1.0, abs(y)), (
+                        config, freqs, n, mu, theta, branch
+                    )
+        assert compared >= 30
+
+    @pytest.mark.parametrize(
+        "config", (AtomicConfiguration.V, AtomicConfiguration.LAMBDA), ids=lambda c: c.value
+    )
+    @pytest.mark.parametrize("rwa", (False, True))
+    def test_dark_blocks_lie_above_the_bright_block(self, config, rwa):
+        # Rotated onto its bright level, the frame leaves the dark level
+        # uncoupled, so the full oracle's coupled components split by n_d.
+        freqs = dict(omega=1.0, omega1=0.0, omega2=1.0, omega3=1.0)
+        if config is AtomicConfiguration.LAMBDA:
+            freqs = dict(omega=1.0, omega1=0.0, omega2=0.0, omega3=1.0)
+        for n, mu in itertools.product((2, 4), (0.3, 1.5)):
+            p = ModelParams(
+                **freqs, **couplings_from_magnitude(config, mu, 0.7),
+                n_atoms=n, config=config, rwa=rwa,
+            )
+            dark = fock.dark_level(p)
+            rotated = fock._bright_rotation(p)[0]
+            space = fock.TruncatedSpace(n, 24)
+            n_dark = np.array(space.occupations)[:, dark - 1]
+            bright = fock.ground_states(p, fock.TruncatedSpace(n, 24, dark), certify=False)
+            for (_, indices, block), ground in zip(
+                fock._sector_blocks(rotated, space), (bright.even, bright.odd)
+            ):
+                occupation = n_dark[indices % space.atomic_dimension]
+                lowest = {}
+                for part, sub in fock._components(block):
+                    (k,) = set(occupation[part])
+                    energy = fock._lowest_eigenpairs(sub, 1)[0][0]
+                    lowest[k] = min(lowest.get(k, math.inf), energy)
+                assert lowest[1] >= lowest[0] - 1e-12 * max(1.0, abs(lowest[0]))
+                assert abs(lowest[0] - ground.energy) <= 1e-10 * max(1.0, abs(ground.energy))
+
+    @pytest.mark.parametrize("rwa", (False, True))
+    def test_components_are_the_index_slices(self, rwa):
+        # Rotated onto its bright level, the sector splits by n_d (and by M
+        # under the RWA); each permuted slice must equal the fancy-index one.
+        vp = VParams(mu=1.3, theta=0.7, n_atoms=4, rwa=rwa)
+        p = fock._bright_rotation(vp.to_model_params())[0]
+        _, _, block = next(fock._sector_blocks(p, fock.TruncatedSpace(4, 20)))
+        parts = list(fock._components(block))
+        assert len(parts) > 1
+        members = np.sort(np.concatenate([part for part, _ in parts]))
+        assert np.array_equal(members, np.arange(block.shape[0]))
+        for part, sub in parts:
+            assert _same_arrays(sub, block[np.ix_(part, part)])
+
+
+class TestAssemblyMemory:
+    def test_hamiltonian_build_peak(self):
+        # One build at V, N = 10, nu_max = 95 returns 0.60 MB of CSR arrays;
+        # it peaked at 3.16 MB when every entry block, their concatenation,
+        # the sort key and the sorted copies were alive at once.
+        p = VParams(mu=1.5, theta=0.8, n_atoms=10).to_model_params()
+        space = fock.TruncatedSpace(10, 95)
+        fock.build_hamiltonian(p, space)  # fills the A_ij entry cache
+        tracemalloc.start()
+        try:
+            h = fock.build_hamiltonian(p, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.data.nbytes + h.indices.nbytes + h.indptr.nbytes > 0.59e6
+        assert peak <= 1.7e6
+
+
 class TestGroundStates:
     def test_certificate_and_convergence(self):
         vp = VParams(mu=1.0)
@@ -391,18 +528,28 @@ class TestLanczosPath:
 
     def test_default_path_is_deterministic_and_matches_dense(self, monkeypatch):
         p = VParams(mu=1.5, theta=0.8, n_atoms=8).to_model_params()
-        first = fock.converged_ground_states(p)
-        second = fock.converged_ground_states(p)
-        monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
-        dense = fock.converged_ground_states(p)
-        assert first.nu_max == second.nu_max == dense.nu_max
-        assert first.certificate == second.certificate
-        for branch in ("even", "odd"):
-            a, b, ref = (getattr(r, branch) for r in (first, second, dense))
-            assert a.energy == b.energy
-            assert np.array_equal(a.state.data, b.state.data)
-            assert abs(a.energy - ref.energy) < 1e-12
-            assert np.abs(a.state.data - ref.state.data).max() < 1e-12
+        _assert_deterministic_and_matches_dense(monkeypatch, p)
+
+    def test_full_oracle_path_is_deterministic_and_matches_dense(self, monkeypatch):
+        # Off double resonance the full space is solved, by Lanczos components.
+        p = replace(VParams(mu=1.5, theta=0.8, n_atoms=8).to_model_params(), omega2=0.9)
+        assert fock.dark_level(p) is None
+        _assert_deterministic_and_matches_dense(monkeypatch, p)
+
+
+def _assert_deterministic_and_matches_dense(monkeypatch, p):
+    first = fock.converged_ground_states(p)
+    second = fock.converged_ground_states(p)
+    monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
+    dense = fock.converged_ground_states(p)
+    assert first.nu_max == second.nu_max == dense.nu_max
+    assert first.certificate == second.certificate
+    for branch in ("even", "odd"):
+        a, b, ref = (getattr(r, branch) for r in (first, second, dense))
+        assert a.energy == b.energy
+        assert np.array_equal(a.state.data, b.state.data)
+        assert abs(a.energy - ref.energy) < 1e-12
+        assert np.abs(a.state.data - ref.state.data).max() < 1e-12
 
 
 class TestCoupledComponents:
@@ -410,6 +557,15 @@ class TestCoupledComponents:
         # Under the RWA the vacuum is a component of its own; a Lanczos run
         # over the whole even block converges to the next M block instead.
         p = VParams(mu=0.3, n_atoms=20, rwa=True).to_model_params()
+        result = fock.converged_ground_states(p)
+        assert abs(result.even.energy) < 1e-12
+        assert result.global_ground.sector is ParityBranch.EVEN
+
+    def test_conserving_vacuum_found_at_large_n_on_full_space(self):
+        # Off double resonance the full space is solved; its M blocks pass
+        # DENSE_CUTOFF, so the vacuum competes with Lanczos components.
+        p = replace(VParams(mu=0.3, n_atoms=20, rwa=True).to_model_params(), omega2=0.9)
+        assert fock.dark_level(p) is None
         result = fock.converged_ground_states(p)
         assert abs(result.even.energy) < 1e-12
         assert result.global_ground.sector is ParityBranch.EVEN
@@ -467,31 +623,48 @@ class TestCutoffSchedule:
 
     def test_doubles_from_a_low_estimate(self, monkeypatch):
         p = VParams(mu=1.5, theta=0.8, n_atoms=4).to_model_params()
-        reference = fock.converged_ground_states(p)
-        monkeypatch.setattr(fock, "suggested_nu_max", lambda alpha: 12)
-        cutoffs = _counting_attempts(monkeypatch)
-        result = fock.converged_ground_states(p)
-        assert len(cutoffs) > 1
-        assert cutoffs == [12 * 2**i for i in range(len(cutoffs))]
-        assert result.nu_max == cutoffs[-1]
-        assert result.certificate["certified"]
-        _assert_matches_double_cutoff(p, result)
-        for branch in ("even", "odd"):
-            assert abs(getattr(result, branch).energy - getattr(reference, branch).energy) < 1e-10
+        _assert_doubles_from_a_low_estimate(monkeypatch, p)
+
+    def test_doubles_from_a_low_estimate_on_full_space(self, monkeypatch):
+        p = replace(VParams(mu=1.5, theta=0.8, n_atoms=4).to_model_params(), omega2=0.9)
+        assert fock.dark_level(p) is None
+        _assert_doubles_from_a_low_estimate(monkeypatch, p)
 
     def test_nonconverged_minimizer_still_gives_a_row(self, monkeypatch, capsys):
-        argv = ["sweep", "--mu", "1.5", "--n-atoms", "4", "--branch", "exact"]
-        assert cli.main(argv) == 0
-        expected = capsys.readouterr().out
-        p = VParams(mu=1.5, n_atoms=4).to_model_params()
-        best = surface.minimize_surface(p)
+        _assert_nonconverged_minimizer_gives_a_row(monkeypatch, capsys, 1.0)
 
-        def fails(params):
-            raise NonConvergence("no gradient polish converged", best=best)
+    def test_nonconverged_minimizer_still_gives_a_row_on_full_space(self, monkeypatch, capsys):
+        _assert_nonconverged_minimizer_gives_a_row(monkeypatch, capsys, 0.9)
 
-        monkeypatch.setattr(surface, "minimize_surface", fails)
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out == expected
+
+def _assert_doubles_from_a_low_estimate(monkeypatch, p):
+    reference = fock.converged_ground_states(p)
+    monkeypatch.setattr(fock, "suggested_nu_max", lambda alpha: 12)
+    cutoffs = _counting_attempts(monkeypatch)
+    result = fock.converged_ground_states(p)
+    assert len(cutoffs) > 1
+    assert cutoffs == [12 * 2**i for i in range(len(cutoffs))]
+    assert result.nu_max == cutoffs[-1]
+    assert result.certificate["certified"]
+    _assert_matches_double_cutoff(p, result)
+    for branch in ("even", "odd"):
+        assert abs(getattr(result, branch).energy - getattr(reference, branch).energy) < 1e-10
+
+
+def _assert_nonconverged_minimizer_gives_a_row(monkeypatch, capsys, omega2):
+    argv = ["sweep", "--mu", "1.5", "--n-atoms", "4", "--branch", "exact"]
+    argv += ["--omega2", str(omega2)]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    p = replace(VParams(mu=1.5, n_atoms=4).to_model_params(), omega2=omega2)
+    best = surface.minimize_surface(p)
+
+    def fails(params):
+        raise NonConvergence("no gradient polish converged", best=best)
+
+    monkeypatch.setattr(surface, "minimize_surface", fails)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 class TestWarmCertificate:
@@ -506,22 +679,22 @@ class TestWarmCertificate:
         ],
     )
     def test_delta_matches_dense_leading_block(self, monkeypatch, vp, dense_cutoff):
-        p = vp.to_model_params()
-        monkeypatch.setattr(fock, "DENSE_CUTOFF", dense_cutoff)
-        first = fock.converged_ground_states(p)
-        second = fock.converged_ground_states(p)
-        assert first.certificate == second.certificate
-        space = fock.TruncatedSpace(p.n_atoms, first.nu_max)
-        leading = (space.nu_max - 9) * space.atomic_dimension
-        monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
-        deltas = []
-        for (_, indices, block), ground in zip(
-            fock._sector_blocks(p, space), (first.even, first.odd)
-        ):
-            m = int(np.searchsorted(indices, leading))
-            lead = fock._lowest_eigenpairs(block[:m, :m], 1)[0][0]
-            deltas.append(abs(ground.energy - lead))
-        assert abs(first.certificate["delta"] - max(deltas)) < 1e-12
+        _assert_delta_matches_dense_leading_block(monkeypatch, vp.to_model_params(), dense_cutoff)
+
+    @pytest.mark.parametrize(
+        "vp, dense_cutoff",
+        [
+            (VParams(mu=1.5, theta=0.8, n_atoms=8), fock.DENSE_CUTOFF),
+            (VParams(mu=0.3, n_atoms=20, rwa=True), 50),
+        ],
+    )
+    def test_delta_matches_dense_leading_block_on_full_space(
+        self, monkeypatch, vp, dense_cutoff
+    ):
+        # The same cases at omega2 = 0.9, where the full space is solved.
+        p = replace(vp.to_model_params(), omega2=0.9)
+        assert fock.dark_level(p) is None
+        _assert_delta_matches_dense_leading_block(monkeypatch, p, dense_cutoff)
 
     def test_zero_start_keeps_seeded_start(self, monkeypatch):
         p = VParams(mu=1.3, n_atoms=4).to_model_params()
@@ -531,6 +704,24 @@ class TestWarmCertificate:
         zero = fock._lowest_eigenpairs(block, 1, start=np.zeros(block.shape[0]))
         assert np.array_equal(seeded[0], zero[0])
         assert np.array_equal(seeded[1], zero[1])
+
+
+def _assert_delta_matches_dense_leading_block(monkeypatch, p, dense_cutoff):
+    monkeypatch.setattr(fock, "DENSE_CUTOFF", dense_cutoff)
+    first = fock.converged_ground_states(p)
+    second = fock.converged_ground_states(p)
+    assert first.certificate == second.certificate
+    space = fock.TruncatedSpace(p.n_atoms, first.nu_max, fock.dark_level(p))
+    leading = (space.nu_max - 9) * space.atomic_dimension
+    monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
+    deltas = []
+    for (_, indices, block), ground in zip(
+        fock._sector_blocks(p, space), (first.even, first.odd)
+    ):
+        m = int(np.searchsorted(indices, leading))
+        lead = fock._lowest_eigenpairs(block[:m, :m], 1)[0][0]
+        deltas.append(abs(ground.energy - lead))
+    assert abs(first.certificate["delta"] - max(deltas)) < 1e-12
 
 
 class TestSacsVectorOracle:
