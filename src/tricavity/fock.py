@@ -387,46 +387,25 @@ def build_sacs_vector(
     return StateVector(space=space, data=psi.ravel())
 
 
-def _components(block: sparse.csr_matrix):
-    """Yield (indices, sub-block) per connected component of the coupling graph.
-
-    A block of several components is permuted once, members grouped by
-    component in index order, so that each component is a contiguous
-    diagonal slice of it.
-    """
-    n_parts, labels = connected_components(block != 0, directed=False)
-    if n_parts == 1:
-        yield np.arange(block.shape[0]), block
-        return
-    members = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels))
-    permuted = block[members][:, members]
-    for part, end in zip(np.split(members, ends[:-1]), ends):
-        yield part, permuted[end - part.size : end, end - part.size : end]
-
-
 def _lowest_eigenpairs(
-    block: sparse.csr_matrix, k: int, start: np.ndarray | None = None
+    blocks, k: int, size: int, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenvalues (ascending) and eigenvectors of a sector block.
+    """Lowest k eigenvalues (ascending) and eigenvectors of (indices, block) pairs.
 
-    The block is split into the connected components of its coupling graph
-    (under the RWA these are the blocks of fixed M) and each is solved on
-    its own: dense when it has at most DENSE_CUTOFF states or k is at least
-    1/16 of its size (where dense was measured faster, and which keeps
-    eigsh away from k near n), else Lanczos from a fixed start vector, so that
-    repeated solves agree bit for bit. Each component is irreducible with
-    off-diagonals <= 0, so its ground state is positive and overlaps the
-    positive start vector; solving the whole block at once would let the
-    Lanczos run miss a decoupled component such as the RWA vacuum. The
-    entries are unequal because a uniform vector misses states odd under a
-    level exchange. A Lanczos component takes its part of `start` instead
-    when that part is not all zero (the certificate passes the ground
-    vector of the enclosing block, which is nearly the answer). The
-    components' pairs are merged by a stable sort.
+    Each block is solved on its own: dense when it has at most DENSE_CUTOFF
+    states or k is at least 1/16 of its size (where dense was measured
+    faster, and which keeps eigsh away from k near n), else Lanczos from a
+    fixed start vector, so that repeated solves agree bit for bit. A block
+    of `_blocks` has off-diagonals <= 0, so its ground state is positive and
+    overlaps the positive start vector; the entries are unequal because a
+    uniform vector misses states odd under a level exchange. A Lanczos block
+    takes its part of `start` (a vector of length `size`) instead when that
+    part is not all zero (the certificate passes the ground vector, which is
+    nearly the answer). The blocks' pairs are merged by a stable sort; each
+    eigenvector has length `size` and is zero off its block's indices.
     """
     values, columns = [], []
-    for part, sub in _components(block):
+    for part, sub in blocks:
         n = part.size
         kk = min(k, n)
         if n <= DENSE_CUTOFF or 16 * kk >= n:
@@ -439,7 +418,7 @@ def _lowest_eigenpairs(
         values.extend(vals)
         columns.extend((part, vec) for vec in vecs.T)
     order = np.argsort(values, kind="stable")[:k]
-    vectors = np.zeros((block.shape[0], order.size), dtype=block.dtype)
+    vectors = np.zeros((size, order.size))
     for out, pick in enumerate(order):
         part, vec = columns[pick]
         vectors[part, out] = vec
@@ -503,18 +482,35 @@ class GroundStateResult:
         return self.even if self.even.energy <= self.odd.energy else self.odd
 
 
-def _sector_blocks(params: ModelParams, space: TruncatedSpace):
-    """Yield (branch, indices, H block) for the even, then the odd sector.
+def _blocks(params: ModelParams, space: TruncatedSpace):
+    """(even, odd) lists of (indices, H block), one per connected block of H.
 
-    On a bright block H is that of the rotated parameters.
+    H is built once and its coupling graph searched once. H keeps the
+    excitation parity, so each block lies in one sector, and it is filed
+    under the parity of its first member. Under the RWA the blocks are those
+    of fixed M, and the vacuum is a block of its own: a Lanczos run on a
+    whole sector would miss it, so every block is solved on its own. H is
+    permuted once, members grouped by block in index order, so that each
+    block is a contiguous diagonal slice of it whose nu <= nu_max - 10
+    states are a prefix. On a bright block H is that of the rotated
+    parameters.
     """
     if space.dark_level is not None:
         if space.dark_level != dark_level(params):
             raise ValueError("the space is not the bright block of these parameters")
         params = _bright_rotation(params)[0]
     h = build_hamiltonian(params, space)
-    for branch, indices in zip(ParityBranch, parity_sectors(space, params.config)):
-        yield branch, indices, h[np.ix_(indices, indices)].tocsr()
+    parity = np.zeros(space.dimension, dtype=int)
+    parity[parity_sectors(space, params.config)[1]] = 1
+    _, labels = connected_components(h != 0, directed=False)
+    members = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels))
+    permuted = h[members][:, members]
+    sectors = ([], [])
+    for part, end in zip(np.split(members, ends[:-1]), ends):
+        block = permuted[end - part.size : end, end - part.size : end]
+        sectors[parity[part[0]]].append((part, block))
+    return sectors
 
 
 def ground_states(
@@ -528,23 +524,26 @@ def ground_states(
     (`TruncatedSpace(n, nu_max, dark_level(params))`); the states live on it.
     The certificate compares each sector energy against the same computation
     at nu_max - 10 and requires agreement within CERTIFICATE_DELTA. The basis
-    is nu-major, so the nu_max - 10 sector is the leading principal block of
-    the nu_max one and is sliced from it rather than rebuilt. Its Lanczos
-    components start from the sector ground vector cut to that block; the
-    main solve keeps the fixed start, so the result stays deterministic.
+    is nu-major, so the nu_max - 10 sector is made of the leading prefix of
+    each block of `_blocks`, sliced rather than rebuilt. Its Lanczos blocks
+    start from the sector ground vector; the main solve keeps the fixed
+    start, so the result stays deterministic.
     """
     if certify and space.nu_max < 11:
         raise CutoffNotConverged("nu_max too small to certify", delta=None)
     leading = (space.nu_max - 9) * space.atomic_dimension
     grounds, deltas = [], []
-    for branch, indices, block in _sector_blocks(params, space):
-        vals, vecs = _lowest_eigenpairs(block, 1)
-        full = np.zeros(space.dimension, dtype=complex)
-        full[indices] = _fix_phase(vecs[:, 0])
-        grounds.append(SectorGround(float(vals[0]), StateVector(space, full), branch))
+    for branch, blocks in zip(ParityBranch, _blocks(params, space)):
+        vals, vecs = _lowest_eigenpairs(blocks, 1, space.dimension)
+        state = StateVector(space, _fix_phase(vecs[:, 0]).astype(complex))
+        grounds.append(SectorGround(float(vals[0]), state, branch))
         if certify:
-            m = int(np.searchsorted(indices, leading))
-            lead = _lowest_eigenpairs(block[:m, :m], 1, start=vecs[:m, 0])[0][0]
+            prefixes = []
+            for part, block in blocks:
+                m = int(np.searchsorted(part, leading))
+                if m:
+                    prefixes.append((part[:m], block[:m, :m]))
+            lead = _lowest_eigenpairs(prefixes, 1, leading, start=vecs[:, 0])[0][0]
             deltas.append(abs(lead - vals[0]))
 
     certificate = {"delta": None, "nu_max": space.nu_max, "certified": False}
@@ -575,18 +574,17 @@ def converged_ground_states(params: ModelParams) -> GroundStateResult:
     except NonConvergence as exc:
         crit = exc.best
     dark = dark_level(params)
-    atomic_dimension = len(_occupations(params.n_atoms, dark))
     nu_max, delta = suggested_nu_max(crit.rho), None
     while nu_max <= NU_MAX_LIMIT:
-        dimension = (nu_max + 1) * atomic_dimension
-        if dimension > MAX_DIMENSION:
-            raise CutoffNotConverged(
-                f"no converged cutoff below the basis limit {MAX_DIMENSION}: "
-                f"nu_max={nu_max} needs dimension {dimension}",
-                delta=delta,
-            )
         try:
-            return ground_states(params, TruncatedSpace(params.n_atoms, nu_max, dark))
+            space = TruncatedSpace(params.n_atoms, nu_max, dark)
+        except ValueError as exc:
+            raise CutoffNotConverged(
+                f"no converged cutoff below the basis limit at nu_max={nu_max}: {exc}",
+                delta=delta,
+            ) from exc
+        try:
+            return ground_states(params, space)
         except CutoffNotConverged as exc:
             nu_max, delta = 2 * nu_max, exc.delta
     raise CutoffNotConverged(
@@ -599,7 +597,7 @@ def sector_spectrum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenvalues of the even and of the odd sector, from one H build."""
     even, odd = (
-        _lowest_eigenpairs(block, k)[0] for _, _, block in _sector_blocks(params, space)
+        _lowest_eigenpairs(blocks, k, space.dimension)[0] for blocks in _blocks(params, space)
     )
     return even, odd
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
 
 from tricavity import cli, fock, sacs, surface
@@ -400,31 +401,59 @@ class TestBrightBlock:
             space = fock.TruncatedSpace(n, 24)
             n_dark = np.array(space.occupations)[:, dark - 1]
             bright = fock.ground_states(p, fock.TruncatedSpace(n, 24, dark), certify=False)
-            for (_, indices, block), ground in zip(
-                fock._sector_blocks(rotated, space), (bright.even, bright.odd)
-            ):
-                occupation = n_dark[indices % space.atomic_dimension]
+            for blocks, ground in zip(fock._blocks(rotated, space), (bright.even, bright.odd)):
                 lowest = {}
-                for part, sub in fock._components(block):
-                    (k,) = set(occupation[part])
-                    energy = fock._lowest_eigenpairs(sub, 1)[0][0]
+                for part, sub in blocks:
+                    (k,) = set(n_dark[part % space.atomic_dimension])
+                    energy = fock._lowest_eigenpairs([(part, sub)], 1, space.dimension)[0][0]
                     lowest[k] = min(lowest.get(k, math.inf), energy)
                 assert lowest[1] >= lowest[0] - 1e-12 * max(1.0, abs(lowest[0]))
                 assert abs(lowest[0] - ground.energy) <= 1e-10 * max(1.0, abs(ground.energy))
 
-    @pytest.mark.parametrize("rwa", (False, True))
-    def test_components_are_the_index_slices(self, rwa):
-        # Rotated onto its bright level, the sector splits by n_d (and by M
+
+class TestBlocks:
+    @pytest.mark.parametrize("case", ("v", "v-rwa", "xi-rwa"))
+    def test_blocks_are_parity_tagged_index_slices(self, case):
+        # Rotated onto its bright level, the V space splits by n_d (and by M
         # under the RWA); each permuted slice must equal the fancy-index one.
-        vp = VParams(mu=1.3, theta=0.7, n_atoms=4, rwa=rwa)
-        p = fock._bright_rotation(vp.to_model_params())[0]
-        _, _, block = next(fock._sector_blocks(p, fock.TruncatedSpace(4, 20)))
-        parts = list(fock._components(block))
-        assert len(parts) > 1
-        members = np.sort(np.concatenate([part for part, _ in parts]))
-        assert np.array_equal(members, np.arange(block.shape[0]))
-        for part, sub in parts:
-            assert _same_arrays(sub, block[np.ix_(part, part)])
+        if case == "xi-rwa":
+            p = _frame_params(AtomicConfiguration.XI, True, "default", 3)
+            space = fock.TruncatedSpace(3, 20)
+        else:
+            vp = VParams(mu=1.3, theta=0.7, n_atoms=4, rwa=case == "v-rwa")
+            p = fock._bright_rotation(vp.to_model_params())[0]
+            space = fock.TruncatedSpace(4, 20)
+        h = fock.build_hamiltonian(p, space)
+        m = fock.m_diagonal(space, p.config)
+        sectors = fock._blocks(p, space)
+        assert sum(map(len, sectors)) > 2
+        members = []
+        for parity, blocks in enumerate(sectors):
+            for part, sub in blocks:
+                assert np.all(np.diff(part) > 0)
+                assert np.all(m[part] % 2 == parity)
+                if p.rwa:
+                    assert np.unique(m[part]).size == 1
+                assert _same_arrays(sub, h[np.ix_(part, part)])
+                members.append(part)
+        assert np.array_equal(np.sort(np.concatenate(members)), np.arange(space.dimension))
+
+    def test_one_hamiltonian_and_one_graph_search_per_call(self, monkeypatch):
+        calls = {"build_hamiltonian": 0, "connected_components": 0}
+        for name in calls:
+            original = getattr(fock, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(fock, name, counted)
+        p = VParams(mu=0.3, n_atoms=2).to_model_params()
+        result = fock.ground_states(p, fock.TruncatedSpace(2, 30, fock.dark_level(p)))
+        assert result.certificate["certified"]
+        assert calls == {"build_hamiltonian": 1, "connected_components": 1}
+        fock.sector_spectrum(p, fock.TruncatedSpace(2, 30))
+        assert calls == {"build_hamiltonian": 2, "connected_components": 2}
 
 
 class TestAssemblyMemory:
@@ -698,10 +727,11 @@ class TestWarmCertificate:
 
     def test_zero_start_keeps_seeded_start(self, monkeypatch):
         p = VParams(mu=1.3, n_atoms=4).to_model_params()
-        _, _, block = next(fock._sector_blocks(p, fock.TruncatedSpace(4, 60)))
+        space = fock.TruncatedSpace(4, 60)
+        even, _ = fock._blocks(p, space)
         monkeypatch.setattr(fock, "DENSE_CUTOFF", 50)
-        seeded = fock._lowest_eigenpairs(block, 1)
-        zero = fock._lowest_eigenpairs(block, 1, start=np.zeros(block.shape[0]))
+        seeded = fock._lowest_eigenpairs(even, 1, space.dimension)
+        zero = fock._lowest_eigenpairs(even, 1, space.dimension, start=np.zeros(space.dimension))
         assert np.array_equal(seeded[0], zero[0])
         assert np.array_equal(seeded[1], zero[1])
 
@@ -713,14 +743,13 @@ def _assert_delta_matches_dense_leading_block(monkeypatch, p, dense_cutoff):
     assert first.certificate == second.certificate
     space = fock.TruncatedSpace(p.n_atoms, first.nu_max, fock.dark_level(p))
     leading = (space.nu_max - 9) * space.atomic_dimension
-    monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
+    solved = p if space.dark_level is None else fock._bright_rotation(p)[0]
+    h = fock.build_hamiltonian(solved, space)
     deltas = []
-    for (_, indices, block), ground in zip(
-        fock._sector_blocks(p, space), (first.even, first.odd)
-    ):
-        m = int(np.searchsorted(indices, leading))
-        lead = fock._lowest_eigenpairs(block[:m, :m], 1)[0][0]
-        deltas.append(abs(ground.energy - lead))
+    for indices, ground in zip(fock.parity_sectors(space, p.config), (first.even, first.odd)):
+        lead = indices[indices < leading]
+        dense = h[np.ix_(lead, lead)].toarray()
+        deltas.append(abs(ground.energy - scipy.linalg.eigvalsh(dense, subset_by_index=(0, 0))[0]))
     assert abs(first.certificate["delta"] - max(deltas)) < 1e-12
 
 
