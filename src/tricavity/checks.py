@@ -213,66 +213,120 @@ def check_sacs_casimir(rng: np.random.Generator, level: CheckLevel) -> CheckResu
     )
 
 
+def _atomic_tables(n_atoms: int) -> dict[tuple[int, int], np.ndarray]:
+    """Dense d x d matrices of all nine A_ij, from the entries H is assembled from."""
+    d = len(symmetric_occupations(n_atoms))
+    tables = {}
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            rows, cols, amps = fock._atomic_entries(n_atoms, i, j)
+            tables[i, j] = np.zeros((d, d))
+            tables[i, j][rows, cols] = amps
+    return tables
+
+
+def _direct_expectations(
+    vec: fock.StateVector, tables: dict, config: AtomicConfiguration, prods
+) -> dict:
+    """Direct side of the oracle check, contracted on the amplitude matrix of vec.
+
+    Psi[nu, k] = vec.data[nu d + k] is the amplitude of |nu> x occupation k.
+    An A_ij acts on the columns of Psi through its table (`_atomic_tables`),
+    a and a' on the rows as shifts by one weighted sqrt(nu), n and M as the
+    weights nu and m_diagonal. Each value is <Psi|O Psi> / <Psi|Psi>, as in
+    `StateVector.expectation`; `prods` lists the (i, j, k, l) of the
+    <A_ij A_kl> to evaluate.
+    """
+    space = vec.space
+    psi = vec.data.reshape(space.nu_max + 1, space.atomic_dimension)
+    norm_sq = vec.norm_squared()
+
+    def expect(image) -> complex:
+        return complex(np.vdot(psi, image)) / norm_sq
+
+    def atomic(i, j, image=psi):
+        return image @ tables[i, j].T
+
+    nus = np.arange(space.nu_max + 1.0)[:, None]
+    roots = np.sqrt(nus[1:])
+    lowered = np.zeros_like(psi)  # a Psi
+    lowered[:-1] = roots * psi[1:]
+    quadrature = lowered.copy()  # (a + a') Psi
+    quadrature[1:] += roots * psi[:-1]
+    m = fock.m_diagonal(space, config).reshape(psi.shape)
+    levels = (1, 2, 3)
+    pairs = config.allowed_pairs
+    return {
+        "populations": [expect(atomic(i, i)) for i in levels],
+        "photons": expect(nus * psi),
+        "photons_squared": expect(nus * (nus * psi)),
+        "population_squares": [expect(atomic(i, i, atomic(i, i))) for i in levels],
+        "photon_populations": [expect(nus * atomic(i, i)) for i in levels],
+        "transitions": {(i, j): expect(atomic(i, j)) for i, j in pairs},
+        "products": [expect(atomic(i, j, atomic(k, l))) for i, j, k, l in prods],
+        "a_ij_a": {(i, j): expect(atomic(i, j, lowered)) for i, j in pairs},
+        "dipoles": {
+            (i, j): expect(atomic(i, j, quadrature) + atomic(j, i, quadrature)) for i, j in pairs
+        },
+        "m": expect(m * psi),
+        "m_squared": expect(m * (m * psi)),
+    }
+
+
 def check_oracle_equivalence(rng: np.random.Generator, level: CheckLevel) -> CheckResult:
-    """Every closed-form expectation against the truncated-space vector."""
+    """Every closed-form expectation against the truncated-space vector.
+
+    Every direct value but <H> comes from `_direct_expectations`; <H> goes
+    through the oracle's own `build_hamiltonian`.
+    """
     worst = 0.0
+    tables = {}
     for _ in range(level.points):
         params, sp = _sacs_case(rng, level)
         point = sp.point
         n_atoms = sp.n_atoms
         space = fock.TruncatedSpace(n_atoms, fock.suggested_nu_max(point.alpha))
         vec = fock.build_sacs_vector(point, sp.branch, sp.config, space)
-        # Every A_ij the comparisons below use, built once per point.
-        ops = {(k, k): fock.transition(space, k, k) for k in (1, 2, 3)}
-        for i, j in sp.config.allowed_pairs:
-            ops[i, j] = fock.transition(space, i, j)
-            ops[j, i] = fock.transition(space, j, i)
-
-        worst = max(worst, _rel_dev(vec.norm_squared(), sp.norm_squared()))
-
-        one = sacs.expect_one_body(sp)
-        for i, closed in zip((1, 2, 3), (one.a11, one.a22, one.a33)):
-            direct = vec.expectation(ops[i, i])
-            worst = max(worst, _rel_dev(closed, direct.real))
-        nop = fock.photon_number(space)
-        worst = max(worst, _rel_dev(one.n_photons, vec.expectation(nop).real))
-
-        _, n_sq = sacs.expect_photon_moments(sp)
-        worst = max(worst, _rel_dev(n_sq, vec.expectation(nop, nop).real))
-        for i in (1, 2, 3):
-            op = ops[i, i]
-            closed = sacs.expect_a_product(sp, i, i, i, i).real
-            worst = max(worst, _rel_dev(closed, vec.expectation(op, op).real))
-            cross = sacs.expect_photon_population_product(sp, i)
-            worst = max(worst, _rel_dev(cross, vec.expectation(nop, op).real))
-
+        if n_atoms not in tables:
+            tables[n_atoms] = _atomic_tables(n_atoms)
         pairs = sp.config.allowed_pairs
         prods = []
         for _ in range(3):
             (i, j) = pairs[rng.integers(len(pairs))]
             (k, l) = pairs[rng.integers(len(pairs))]
             prods.append((i, j, k, l))
-        ann = fock.annihilation(space)
+        direct = _direct_expectations(vec, tables[n_atoms], sp.config, prods)
+
+        worst = max(worst, _rel_dev(vec.norm_squared(), sp.norm_squared()))
+
+        one = sacs.expect_one_body(sp)
+        for closed, value in zip((one.a11, one.a22, one.a33), direct["populations"]):
+            worst = max(worst, _rel_dev(closed, value.real))
+        worst = max(worst, _rel_dev(one.n_photons, direct["photons"].real))
+
+        _, n_sq = sacs.expect_photon_moments(sp)
+        worst = max(worst, _rel_dev(n_sq, direct["photons_squared"].real))
+        for i in (1, 2, 3):
+            closed = sacs.expect_a_product(sp, i, i, i, i).real
+            worst = max(worst, _rel_dev(closed, direct["population_squares"][i - 1].real))
+            cross = sacs.expect_photon_population_product(sp, i)
+            worst = max(worst, _rel_dev(cross, direct["photon_populations"][i - 1].real))
+
         for i, j in pairs:
             closed = sacs.expect_a(sp, i, j)
-            worst = max(worst, _rel_dev(closed, vec.expectation(ops[i, j])))
-        for i, j, k, l in prods:
+            worst = max(worst, _rel_dev(closed, direct["transitions"][i, j]))
+        for (i, j, k, l), value in zip(prods, direct["products"]):
             closed = sacs.expect_a_product(sp, i, j, k, l)
-            worst = max(worst, _rel_dev(closed, vec.expectation(ops[i, j], ops[k, l])))
+            worst = max(worst, _rel_dev(closed, value))
 
         inter = sacs.expect_interaction(sp)
         for (i, j), pair in inter.items():
-            a_ij = ops[i, j]
-            a_ji = ops[j, i]
-            direct_mixed = vec.expectation(a_ij, ann)
-            worst = max(worst, _rel_dev(pair.a_ij_a, direct_mixed))
-            dipole = vec.expectation(a_ij + a_ji, ann + ann.conjugate().transpose())
-            worst = max(worst, _rel_dev(pair.dipole, dipole.real))
+            worst = max(worst, _rel_dev(pair.a_ij_a, direct["a_ij_a"][i, j]))
+            worst = max(worst, _rel_dev(pair.dipole, direct["dipoles"][i, j].real))
 
         mom = sacs.expect_m_moments(sp)
-        mop = fock.m_operator(space, sp.config)
-        worst = max(worst, _rel_dev(mom.mean, vec.expectation(mop).real))
-        worst = max(worst, _rel_dev(mom.second_moment, vec.expectation(mop, mop).real))
+        worst = max(worst, _rel_dev(mom.mean, direct["m"].real))
+        worst = max(worst, _rel_dev(mom.second_moment, direct["m_squared"].real))
 
         h = fock.build_hamiltonian(params, space)
         worst = max(
