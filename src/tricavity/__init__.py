@@ -29,10 +29,7 @@ from .surface import (
     boundary_coupling,
     coherent_expectations,
     energy,
-    energy_full,
-    energy_full_polar,
-    energy_rwa,
-    energy_rwa_polar,
+    energy_polar,
     minimize_surface,
     reduced_radial_energy,
 )
@@ -63,10 +60,7 @@ __all__ = [
     "coherent_expectations",
     "couplings_from_magnitude",
     "energy",
-    "energy_full",
-    "energy_full_polar",
-    "energy_rwa",
-    "energy_rwa_polar",
+    "energy_polar",
     "excitation_weights",
     "minimize_surface",
     "parity_partner",

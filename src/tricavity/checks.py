@@ -9,7 +9,7 @@ computation; they report both numbers and never fail the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -124,11 +124,7 @@ def check_polar_complex_agreement(rng: np.random.Generator, level: CheckLevel) -
             params = random_params(rng, config, n_atoms, rwa=rwa)
             point = random_point(rng)
             rho, phi, rho2, phi2, rho3, phi3 = point.polar()
-            via_polar = (
-                surface.energy_rwa_polar(params, rho, phi, rho2, phi2, rho3, phi3)
-                if rwa
-                else surface.energy_full_polar(params, rho, phi, rho2, phi2, rho3, phi3)
-            )
+            via_polar = surface.energy_polar(params, rho, phi, rho2, phi2, rho3, phi3)
             worst = max(worst, _rel_dev(surface.energy(params, point), via_polar))
     return CheckResult(
         "polar-complex-agreement",
@@ -145,16 +141,11 @@ def check_rwa_reduction(rng: np.random.Generator, level: CheckLevel) -> CheckRes
         config = CONFIGS[rng.integers(len(CONFIGS))]
         n_atoms = int(level.n_atoms[rng.integers(len(level.n_atoms))])
         params = random_params(rng, config, n_atoms, rwa=True)
-        halved = ModelParams(
-            omega=params.omega,
-            omega1=params.omega1,
-            omega2=params.omega2,
-            omega3=params.omega3,
+        halved = replace(
+            params,
             mu12=params.mu12 / 2.0,
             mu13=params.mu13 / 2.0,
             mu23=params.mu23 / 2.0,
-            n_atoms=params.n_atoms,
-            config=params.config,
             rwa=False,
         )
         radii = rng.uniform(0.0, 1.5, size=3)
@@ -509,9 +500,7 @@ def check_angle_optimality(rng: np.random.Generator, level: CheckLevel) -> Check
         rho, rho2, rho3 = rng.uniform(0.0, 1.5, size=3)
         reduced = surface.reduced_radial_energy(params, rho, rho2, rho3)
         phases = rng.uniform(-math.pi, math.pi, size=3)
-        full = surface.energy_full_polar(
-            params, rho, phases[0], rho2, phases[1], rho3, phases[2]
-        )
+        full = surface.energy_polar(params, rho, phases[0], rho2, phases[1], rho3, phases[2])
         worst = max(worst, max(0.0, reduced - full))
     return CheckResult(
         "phase-elimination-optimality",

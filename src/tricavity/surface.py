@@ -3,13 +3,15 @@
 The variational trial state is a Weyl-Heisenberg coherent state for the field
 times a totally symmetric U(3) coherent state for the atoms. All expectation
 values below are exact on that manifold; the surface is the normalized
-Hamiltonian expectation.
+Hamiltonian expectation: `energy` in complex amplitudes, `energy_polar` in
+polar ones, each reading ``params.rwa`` only in its interaction term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -56,49 +58,29 @@ def coherent_two_body(
     return val
 
 
-def energy_full(params: ModelParams, point: CoherentPoint) -> float:
-    """Energy surface of the full Hamiltonian at a coherent point (total, not per atom)."""
-    n = params.n_atoms
-    norm = point.atomic_norm_squared()
-    g = point.gammas
-    diag = sum(
-        w * abs(gi) ** 2 for w, gi in zip(params.level_energies, g)
-    )
-    two_re_alpha = 2.0 * point.alpha.real
-    inter = 0.0
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        inter += params.coupling(i, j) * 2.0 * (g[i - 1].conjugate() * g[j - 1]).real
-    return (
-        params.omega * abs(point.alpha) ** 2
-        + (n * diag - math.sqrt(n) * inter * two_re_alpha) / norm
-    )
+def energy(params: ModelParams, point: CoherentPoint) -> float:
+    """Energy surface at a coherent point (total, not per atom).
 
-
-def energy_rwa(params: ModelParams, point: CoherentPoint) -> float:
-    """Energy surface with the counter-rotating interaction dropped."""
+    Under the RWA <A_ij a' + A_ji a> = N (gi* gj alpha* + c.c.) / norm; the
+    counter-rotating terms of the full Hamiltonian turn alpha* into 2 Re alpha.
+    """
     n = params.n_atoms
     norm = point.atomic_norm_squared()
     g = point.gammas
     diag = sum(w * abs(gi) ** 2 for w, gi in zip(params.level_energies, g))
     inter = 0.0
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        # <A_ij a' + A_ji a> = N (gi* gj alpha* + gj* gi alpha) / norm
-        inter += (
-            params.coupling(i, j)
-            * 2.0
-            * (g[i - 1].conjugate() * g[j - 1] * point.alpha.conjugate()).real
-        )
-    return (
-        params.omega * abs(point.alpha) ** 2
-        + (n * diag - math.sqrt(n) * inter) / norm
-    )
+        pair = g[i - 1].conjugate() * g[j - 1]
+        if params.rwa:
+            pair *= point.alpha.conjugate()
+        inter += params.coupling(i, j) * 2.0 * pair.real
+    coupling = math.sqrt(n) * inter
+    if not params.rwa:
+        coupling *= 2.0 * point.alpha.real
+    return params.omega * abs(point.alpha) ** 2 + (n * diag - coupling) / norm
 
 
-def energy(params: ModelParams, point: CoherentPoint) -> float:
-    return energy_rwa(params, point) if params.rwa else energy_full(params, point)
-
-
-def energy_full_polar(
+def energy_polar(
     params: ModelParams,
     rho: float,
     phi: float,
@@ -107,41 +89,25 @@ def energy_full_polar(
     rho3: float,
     phi3: float,
 ) -> float:
-    """Full surface in polar coordinates alpha = rho e^{i phi}, gamma_k = rho_k e^{i phi_k}."""
+    """`energy` in polar coordinates alpha = rho e^{i phi}, gamma_k = rho_k e^{i phi_k}.
+
+    Written independently of `energy`, so that each checks the other. Under
+    the RWA the field phase shifts the atomic ones; without it cos(phi) multiplies.
+    """
     n = params.n_atoms
     norm = 1.0 + rho2**2 + rho3**2
     w1, w2, w3 = params.level_energies
     diag = w1 + w2 * rho2**2 + w3 * rho3**2
+    shift = phi if params.rwa else 0.0
     inter = (
-        params.mu12 * rho2 * math.cos(phi2)
-        + params.mu13 * rho3 * math.cos(phi3)
-        + params.mu23 * rho2 * rho3 * math.cos(phi2 - phi3)
+        params.mu12 * rho2 * math.cos(phi2 - shift)
+        + params.mu13 * rho3 * math.cos(phi3 - shift)
+        + params.mu23 * rho2 * rho3 * math.cos(phi3 - phi2 - shift)
     )
-    return (
-        params.omega * rho**2
-        + (n * diag - 4.0 * math.sqrt(n) * inter * rho * math.cos(phi)) / norm
-    )
-
-
-def energy_rwa_polar(
-    params: ModelParams,
-    rho: float,
-    phi: float,
-    rho2: float,
-    phi2: float,
-    rho3: float,
-    phi3: float,
-) -> float:
-    n = params.n_atoms
-    norm = 1.0 + rho2**2 + rho3**2
-    w1, w2, w3 = params.level_energies
-    diag = w1 + w2 * rho2**2 + w3 * rho3**2
-    inter = (
-        params.mu12 * rho2 * math.cos(phi2 - phi)
-        + params.mu13 * rho3 * math.cos(phi3 - phi)
-        + params.mu23 * rho2 * rho3 * math.cos(phi3 - phi2 - phi)
-    )
-    return params.omega * rho**2 + (n * diag - 2.0 * math.sqrt(n) * inter * rho) / norm
+    coupling = _interaction_factor(params) * math.sqrt(n) * inter * rho
+    if not params.rwa:
+        coupling *= math.cos(phi)
+    return params.omega * rho**2 + (n * diag - coupling) / norm
 
 
 def _radial_terms(params: ModelParams, rho2, rho3):
@@ -266,6 +232,7 @@ def _newton_finish(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=1)
 def minimize_surface(params: ModelParams) -> CriticalPoint:
     """Global minimum of the reduced radial surface over nonnegative radii.
 
@@ -276,6 +243,10 @@ def minimize_surface(params: ModelParams) -> CriticalPoint:
     a line search along the softest eigendirection of the origin Hessian:
     just past a phase boundary the minimum sits at a radius far below the
     lattice spacing. Ties are broken lexicographically.
+
+    The last result is cached, one entry so that memory stays flat: the
+    exact solve seeds its cutoff from the minimum a variational branch of
+    the same point found. NonConvergence is raised again, never cached.
     """
     mu_max = max(params.mu12, params.mu13, params.mu23)
     bound = max(4.0, 4.0 * math.sqrt(params.n_atoms) * mu_max / params.omega)

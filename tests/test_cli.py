@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tricavity import cli, fock
+from tricavity import cli, fock, surface
 
 CMD = [sys.executable, "-m", "tricavity.cli"]
 
@@ -186,6 +186,45 @@ class TestSweep:
         assert column(header, rows, "even_q_m") == [1.0]
         assert column(header, rows, "odd_q_m") == [-1.0]
         assert column(header, rows, "odd_m_mean") == [1.0]
+
+    @pytest.mark.parametrize("flags", [(), ("--omega2", "0.9")])
+    def test_explicit_nu_max_exact_path(self, flags):
+        # The default frame solves the bright block, omega2 = 0.9 the full space.
+        proc = run_cli(
+            "sweep", "--mu", "1", "--branch", "exact", "--nu-max", "40", "--outputs", "energy",
+            *flags,
+        )
+        meta, header, rows = parse_csv(proc.stdout)
+        assert "# nu_max = 40" in meta
+        args = cli.build_parser().parse_args(["sweep", *flags])
+        p = cli._make_params(args, 1.0, math.pi / 4, 2)
+        assert (fock.dark_level(p) is None) == bool(flags)
+        space = fock.TruncatedSpace(2, 40, fock.dark_level(p))
+        expected = fock.ground_states(p, space, certify=False).global_ground.energy / 2
+        assert column(header, rows, "exact_energy") == [expected]
+
+    def test_log_grid(self):
+        proc = run_cli(
+            "sweep", "--mu", "0.1:10:3:log", "--branch", "coherent", "--outputs", "energy"
+        )
+        _, header, rows = parse_csv(proc.stdout)
+        assert column(header, rows, "mu") == [float(v) for v in np.geomspace(0.1, 10, 3)]
+        proc = run_cli("sweep", "--mu", "0:10:3:log", expect=2)
+        assert "start:stop:count[:log]" in proc.stderr
+
+    def test_one_surface_minimization_per_point(self, monkeypatch):
+        # The exact cutoff estimate reuses the minimum the variational
+        # branches found; each minimization runs one line search.
+        line_search, line_searches = surface.minimize_scalar, []
+
+        def counted(*args, **kwargs):
+            line_searches.append(args)
+            return line_search(*args, **kwargs)
+
+        monkeypatch.setattr(surface, "minimize_scalar", counted)
+        surface.minimize_surface.cache_clear()
+        run_cli("sweep", "--mu", "0.5:1.5:3", "--branch", "coherent,even,odd,exact")
+        assert len(line_searches) == 3
 
     def test_two_grids_rejected(self):
         run_cli("sweep", "--mu", "0:1:3", "--theta", "0:1:3", expect=2)

@@ -19,7 +19,7 @@ from tricavity.sacs import (
     reduced_density_matrix,
     sacs_energy,
 )
-from tricavity.surface import energy_full, energy_rwa
+from tricavity.surface import energy
 
 from helpers import CONFIGS, random_params, random_point, random_sacs_point
 
@@ -139,7 +139,7 @@ class TestSymmetries:
                 g = (1 + abs(pt.gamma2) ** 2 + abs(pt.gamma3) ** 2) ** n
                 weights.append(sp.norm_squared() / (g * math.exp(abs(pt.alpha) ** 2)))
                 energies.append(sacs_energy(p, sp))
-            e_coh = (energy_rwa if p.rwa else energy_full)(p, pt)
+            e_coh = energy(p, pt)
             mixed = (weights[0] * energies[0] + weights[1] * energies[1]) / 4.0
             scale = max(1.0, abs(e_coh))
             assert abs(mixed - e_coh) < 1e-10 * scale

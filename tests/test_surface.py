@@ -21,10 +21,7 @@ from tricavity.surface import (
     boundary_coupling,
     coherent_expectations,
     energy,
-    energy_full,
-    energy_full_polar,
-    energy_rwa,
-    energy_rwa_polar,
+    energy_polar,
     minimize_surface,
     reduced_radial_energy,
 )
@@ -39,7 +36,7 @@ class TestEnergyForms:
         origin = CoherentPoint(0j, 0j, 0j)
         for config in CONFIGS:
             p = random_params(rng, config, 3)
-            assert abs(energy_full(p, origin) - 3 * p.omega1) < 1e-14
+            assert abs(energy(p, origin) - 3 * p.omega1) < 1e-14
 
     def test_polar_matches_complex(self):
         rng = np.random.default_rng(103)
@@ -49,9 +46,7 @@ class TestEnergyForms:
             rho = rng.uniform(0.0, 1.5, size=3)
             phi = rng.uniform(-math.pi, math.pi, size=3)
             pt = CoherentPoint.from_polar(rho[0], phi[0], rho[1], phi[1], rho[2], phi[2])
-            via_polar = (energy_rwa_polar if p.rwa else energy_full_polar)(
-                p, rho[0], phi[0], rho[1], phi[1], rho[2], phi[2]
-            )
+            via_polar = energy_polar(p, rho[0], phi[0], rho[1], phi[1], rho[2], phi[2])
             assert abs(energy(p, pt) - via_polar) < 1e-10 * max(1.0, abs(via_polar))
 
     def test_rwa_on_real_points_halves_couplings(self):
@@ -64,7 +59,7 @@ class TestEnergyForms:
             q = rwa_coupling_map(p)
             vals = rng.uniform(0.0, 1.5, size=3)
             pt = CoherentPoint(complex(vals[0]), complex(vals[1]), complex(vals[2]))
-            assert abs(energy_full(p, pt) - energy_rwa(q, pt)) < 1e-12
+            assert abs(energy(p, pt) - energy(q, pt)) < 1e-12
 
     def test_zero_phases_never_raise_energy(self):
         rng = np.random.default_rng(109)
@@ -73,8 +68,8 @@ class TestEnergyForms:
             p = random_params(rng, config, int(rng.integers(1, 4)))
             rho = rng.uniform(0.0, 1.5, size=3)
             phi = rng.uniform(-math.pi, math.pi, size=3)
-            phased = energy_full_polar(p, rho[0], phi[0], rho[1], phi[1], rho[2], phi[2])
-            flat = energy_full_polar(p, rho[0], 0.0, rho[1], 0.0, rho[2], 0.0)
+            phased = energy_polar(p, rho[0], phi[0], rho[1], phi[1], rho[2], phi[2])
+            flat = energy_polar(p, rho[0], 0.0, rho[1], 0.0, rho[2], 0.0)
             assert flat <= phased + 1e-12
 
     def test_reduced_radial_matches_full_on_axis(self):
@@ -83,7 +78,7 @@ class TestEnergyForms:
             config = CONFIGS[rng.integers(len(CONFIGS))]
             p = random_params(rng, config, int(rng.integers(1, 4)))
             rho = rng.uniform(0.0, 2.0, size=3)
-            direct = energy_full_polar(p, rho[0], 0.0, rho[1], 0.0, rho[2], 0.0)
+            direct = energy_polar(p, rho[0], 0.0, rho[1], 0.0, rho[2], 0.0)
             assert abs(reduced_radial_energy(p, *rho) - direct) < 1e-12
 
     def test_profile_is_surface_at_optimal_field_radius(self):
@@ -162,13 +157,13 @@ class TestMinimization:
             p = random_params(rng, config, 2)
             crit = minimize_surface(p)
             for _ in range(25):
-                assert crit.energy <= energy_full(p, random_point(rng, 2.0)) + 1e-9
+                assert crit.energy <= energy(p, random_point(rng, 2.0)) + 1e-9
 
     def test_as_point_round_trip(self):
         vp = VParams(mu=1.3)
         crit = minimize_surface(vp.to_model_params())
         pt = crit.as_point()
-        assert abs(energy_full(vp.to_model_params(), pt) - crit.energy) < 1e-12
+        assert abs(energy(vp.to_model_params(), pt) - crit.energy) < 1e-12
 
 
 class TestObservables:
@@ -197,7 +192,7 @@ class TestObservables:
             config = CONFIGS[rng.integers(len(CONFIGS))]
             p = random_params(rng, config, int(rng.integers(1, 5)))
             pt = random_point(rng)
-            assert abs(coherent_expectations(p, pt).energy - energy_full(p, pt)) < 1e-10
+            assert abs(coherent_expectations(p, pt).energy - energy(p, pt)) < 1e-10
 
     @pytest.mark.parametrize("rwa", [False, True])
     @pytest.mark.parametrize("config", CONFIGS)

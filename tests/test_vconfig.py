@@ -7,7 +7,7 @@ import pytest
 
 from tricavity import fock, sacs
 from tricavity.model import ParityBranch, Regime
-from tricavity.surface import coherent_expectations, energy_full, minimize_surface
+from tricavity.surface import coherent_expectations, energy, minimize_surface
 from tricavity.vconfig import (
     Approximation,
     VParams,
@@ -87,7 +87,7 @@ class TestCollectiveClosedForms:
             if vp.regime() is not Regime.COLLECTIVE:
                 continue
             params = vp.to_model_params()
-            e = energy_full(params, critical_coherent_point(vp))
+            e = energy(params, critical_coherent_point(vp))
             assert abs(e - vp.n_atoms * e_min_v(vp)) < 1e-10 * max(1.0, abs(e))
             crit = minimize_surface(params)
             assert abs(crit.energy - e) < 1e-10 * max(1.0, abs(e))
