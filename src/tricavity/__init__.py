@@ -16,11 +16,8 @@ from .model import (
     ParityBranch,
     Regime,
     StateObservables,
-    atomic_parity_flip,
     couplings_from_magnitude,
     excitation_weights,
-    parity_partner,
-    rwa_coupling_map,
     symmetric_occupations,
 )
 from .sacs import SacsPoint
@@ -55,7 +52,6 @@ __all__ = [
     "TailTooLarge",
     "TricavityError",
     "VParams",
-    "atomic_parity_flip",
     "boundary_coupling",
     "coherent_expectations",
     "couplings_from_magnitude",
@@ -63,8 +59,6 @@ __all__ = [
     "energy_polar",
     "excitation_weights",
     "minimize_surface",
-    "parity_partner",
     "reduced_radial_energy",
-    "rwa_coupling_map",
     "symmetric_occupations",
 ]

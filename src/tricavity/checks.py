@@ -412,20 +412,18 @@ def check_rdm_consistency(rng: np.random.Generator, level: CheckLevel) -> CheckR
     worst = 0.0
     for _ in range(max(10, level.points // 5)):
         _, sp = _sacs_case(rng, level)
-        rdm = sacs.reduced_density_matrix(sp)
-        mat = rdm.matrix
+        mat = sacs.reduced_density_matrix(sp)
         worst = max(worst, abs(np.trace(mat).real - 1.0))
         worst = max(worst, float(np.max(np.abs(mat - mat.conj().T))))
         eigs = np.linalg.eigvalsh(mat)
         worst = max(worst, max(0.0, -float(eigs.min())))
-        purity = rdm.purity()
+        purity = float(np.sum(np.abs(mat) ** 2))
         if not 0.0 < purity <= 1.0 + 1e-12:
             worst = max(worst, 1.0)
         space = fock.TruncatedSpace(sp.n_atoms, fock.suggested_nu_max(sp.point.alpha))
         vec = fock.build_sacs_vector(sp.point, sp.branch, sp.config, space)
         worst = max(worst, float(np.max(np.abs(mat - vec.atomic_density_matrix()))))
-        s_direct = sacs.linear_entropy(sp)
-        worst = max(worst, abs(s_direct - (1.0 - float(np.sum(np.abs(mat) ** 2)))))
+        worst = max(worst, abs(sacs.linear_entropy(sp) - (1.0 - purity)))
     return CheckResult(
         "reduced-density-matrix",
         worst <= 1e-10,
@@ -691,22 +689,18 @@ def info_q_crossing(rng: np.random.Generator, level: CheckLevel) -> CheckResult:
             - vconfig.mandel_q_m(vconfig.VParams(mu=mu), vconfig.Approximation.SACS_ODD)
         )
 
-    lo, hi = 0.6, 1.3
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if q_even(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    crossing = 0.5 * (lo + hi)
-    lo, hi = 1.0, 1.4
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if q_gap(mid) > 0.01:
-            lo = mid
-        else:
-            hi = mid
-    meeting = 0.5 * (lo + hi)
+    def bisect(f, level, lo, hi):
+        """Where f falls through ``level`` in [lo, hi], after 30 halvings."""
+        for _ in range(30):
+            mid = 0.5 * (lo + hi)
+            if f(mid) > level:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    crossing = bisect(q_even, 0.0, 0.6, 1.3)
+    meeting = bisect(q_gap, 0.01, 1.0, 1.4)
     detail = (
         f"even Q_M crosses zero at mu={crossing:.4f} and the branches come "
         f"within 0.01 at mu={meeting:.4f} (N=2, theta=pi/4); the reference "

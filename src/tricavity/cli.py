@@ -236,7 +236,7 @@ def _emit(args, metadata: dict, columns: list[str], rows: list[list]) -> None:
             lines.append(f"# {key} = {metadata[key]}")
         lines.append(",".join(columns))
         for row in rows:
-            lines.append(",".join(_fmt(v, args.na) for v in row))
+            lines.append(",".join(_fmt(v, "NA" if args.na is None else args.na) for v in row))
         text = "\n".join(lines) + "\n"
     if args.out in (None, "-"):
         sys.stdout.write(text)
@@ -281,7 +281,9 @@ def cmd_sweep(args, parser) -> int:
     grid_var = swept[0] if swept else "mu"
     approxes = args.branch
     outputs = args.outputs
-    if "exact" in approxes and args.nu_max is not None:
+    if args.nu_max is not None:
+        if "exact" not in approxes:
+            parser.error("--nu-max is the exact branch's cutoff; --branch has no exact")
         frame = _make_params(args, mu_axis[0], theta_axis[0], max(atoms_axis))
         _checked_space(frame.n_atoms, args.nu_max, fock.dark_level(frame))
 
@@ -453,7 +455,9 @@ def _add_common(sub: argparse.ArgumentParser, mu_default: str, mu_help: str) -> 
     sub.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
     )
-    sub.add_argument("--na", default="NA", help="sentinel for indeterminate values")
+    sub.add_argument(
+        "--na", help="CSV sentinel for indeterminate values (default NA; JSON writes null)"
+    )
     sub.add_argument("--mu", default=mu_default, help=mu_help)
     sub.add_argument(
         "--theta",
@@ -636,6 +640,8 @@ def main(argv=None) -> int:
             print(f"bad config file: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT
         args = parser.parse_args([argv[0]] + injected + argv[1:])
+    if getattr(args, "format", None) == "json" and args.na is not None:
+        parser.error("--na is the CSV sentinel; JSON writes null")
     try:
         return args.func(args, parser)
     except argparse.ArgumentTypeError as exc:

@@ -149,12 +149,6 @@ class TruncatedSpace:
     def dimension(self) -> int:
         return (self.nu_max + 1) * self.atomic_dimension
 
-    def labels(self):
-        """(nu, n1, n2, n3) for every basis vector, in index order."""
-        for nu in range(self.nu_max + 1):
-            for n1, n2, n3 in self.occupations:
-                yield (nu, n1, n2, n3)
-
 
 @functools.cache
 def _atomic_entries(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -157,24 +157,6 @@ class CoherentPoint:
     gamma2: complex
     gamma3: complex
 
-    @classmethod
-    def from_polar(
-        cls,
-        rho: float,
-        phi: float,
-        rho2: float,
-        phi2: float,
-        rho3: float,
-        phi3: float,
-    ) -> "CoherentPoint":
-        if min(rho, rho2, rho3) < 0:
-            raise ValueError("radii must be nonnegative")
-        return cls(
-            alpha=rho * cmath.exp(1j * phi),
-            gamma2=rho2 * cmath.exp(1j * phi2),
-            gamma3=rho3 * cmath.exp(1j * phi3),
-        )
-
     def polar(self) -> tuple[float, float, float, float, float, float]:
         """(rho, phi, rho2, phi2, rho3, phi3); phases of zero amplitudes are 0."""
         return (
@@ -193,45 +175,6 @@ class CoherentPoint:
     def atomic_norm_squared(self) -> float:
         # gamma* . gamma with gamma1 = 1
         return 1.0 + abs(self.gamma2) ** 2 + abs(self.gamma3) ** 2
-
-
-def atomic_parity_flip(
-    config: AtomicConfiguration, point: CoherentPoint
-) -> CoherentPoint:
-    """Flip the sign of atomic amplitudes carrying odd excitation weight.
-
-    Together with alpha -> -alpha this realizes the action of exp(i pi M) on
-    the coherent manifold; the field amplitude is left untouched here.
-    """
-    l2, l3 = excitation_weights(config)
-    return CoherentPoint(
-        alpha=point.alpha,
-        gamma2=(-1) ** l2 * point.gamma2,
-        gamma3=(-1) ** l3 * point.gamma3,
-    )
-
-
-def parity_partner(config: AtomicConfiguration, point: CoherentPoint) -> CoherentPoint:
-    """The image of ``point`` under exp(i pi M): (-alpha, flipped gammas)."""
-    flipped = atomic_parity_flip(config, point)
-    return replace(flipped, alpha=-point.alpha)
-
-
-def rwa_coupling_map(params: ModelParams) -> ModelParams:
-    """Map a full-Hamiltonian parameter set to the equivalent RWA one.
-
-    The RWA surface reproduces the full one (radius by radius, after angle
-    elimination) when every coupling is doubled.
-    """
-    if params.rwa:
-        raise ValueError("parameters already describe an RWA Hamiltonian")
-    return replace(
-        params,
-        mu12=2.0 * params.mu12,
-        mu13=2.0 * params.mu13,
-        mu23=2.0 * params.mu23,
-        rwa=True,
-    )
 
 
 def symmetric_occupations(n_atoms: int) -> list[tuple[int, int, int]]:

@@ -282,18 +282,7 @@ def sacs_energy(params: ModelParams, sp: SacsPoint) -> float:
     return num / kr
 
 
-@dataclass(frozen=True)
-class AtomicDensityMatrix:
-    """Matter reduced density matrix over symmetric occupations."""
-
-    matrix: np.ndarray
-    occupations: list
-
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
-
-
-def reduced_density_matrix(sp: SacsPoint) -> AtomicDensityMatrix:
+def reduced_density_matrix(sp: SacsPoint) -> np.ndarray:
     """Trace the field out of the normalized SACS projector.
 
     Basis: symmetric occupations (n1, n2, n3), lexicographic in (n2, n3),
@@ -318,13 +307,12 @@ def reduced_density_matrix(sp: SacsPoint) -> AtomicDensityMatrix:
 
     same_parity = signs[:, None] == signs[None, :]
     weights = 2.0 * (1.0 + f.sigma * signs * f.s)
-    rho = (weights * amps)[:, None] * amps.conjugate()[None, :] * same_parity / kr
-    return AtomicDensityMatrix(matrix=rho, occupations=occs)
+    return (weights * amps)[:, None] * amps.conjugate()[None, :] * same_parity / kr
 
 
 def linear_entropy(sp: SacsPoint) -> float:
     """1 - tr(rho^2) of the matter reduced density matrix."""
-    return 1.0 - reduced_density_matrix(sp).purity()
+    return 1.0 - float(np.sum(np.abs(reduced_density_matrix(sp)) ** 2))
 
 
 def _at_origin(point: CoherentPoint) -> bool:

@@ -31,6 +31,7 @@ from .model import (
     ModelParams,
     ParityBranch,
     Regime,
+    couplings_from_magnitude,
 )
 from . import sacs as sacs_mod
 from . import surface as surface_mod
@@ -73,14 +74,6 @@ class VParams:
             raise ValueError("n_atoms must be positive")
 
     @property
-    def mu12(self) -> float:
-        return self.mu * math.cos(self.theta)
-
-    @property
-    def mu13(self) -> float:
-        return self.mu * math.sin(self.theta)
-
-    @property
     def mu_eff(self) -> float:
         """Coupling entering the closed forms; halved under the RWA."""
         return 0.5 * self.mu if self.rwa else self.mu
@@ -91,12 +84,10 @@ class VParams:
             omega1=self.omega1,
             omega2=self.omega3,
             omega3=self.omega3,
-            mu12=self.mu12,
-            mu13=self.mu13,
-            mu23=0.0,
             n_atoms=self.n_atoms,
             config=AtomicConfiguration.V,
             rwa=self.rwa,
+            **couplings_from_magnitude(AtomicConfiguration.V, self.mu, self.theta),
         )
 
     @property

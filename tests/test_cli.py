@@ -203,6 +203,15 @@ class TestSweep:
         expected = fock.ground_states(p, space, certify=False).global_ground.energy / 2
         assert column(header, rows, "exact_energy") == [expected]
 
+    def test_na_sentinel_marks_indeterminate_cells(self):
+        # The exact ground at mu = 0 is the vacuum: <M> = 0 leaves Q undefined.
+        proc = run_cli(
+            "sweep", "--mu", "0", "--branch", "odd,exact", "--outputs", "q", "--na", "X"
+        )
+        _, header, rows = parse_csv(proc.stdout)
+        assert rows[0][header.index("exact_q_m")] == "X"
+        assert column(header, rows, "odd_q_m") == [-1.0]
+
     def test_log_grid(self):
         proc = run_cli(
             "sweep", "--mu", "0.1:10:3:log", "--branch", "coherent", "--outputs", "energy"
@@ -263,6 +272,17 @@ class TestSweep:
         ("photon-dist", "--jobs", "3"),
         ("phase-boundary", "--jobs", "3"),
         ("phase-boundary", "--nu-max", "5"),
+        ("sweep", "--mu", "1", "--branch", "coherent", "--nu-max", "40"),
+        ("sweep", "--format", "json", "--na", "X"),
+        ("sweep", "--mu", "1:2"),
+        ("sweep", "--n-atoms", "0"),
+        ("sweep", "--n-atoms", "a"),
+        ("sweep", "--branch", "foo"),
+        ("spectrum", "--k", "x"),
+        ("spectrum", "--mu", "0:1:3"),
+        ("phase-boundary", "--mu", "1"),
+        ("phase-boundary", "--mu", "a:b"),
+        ("phase-boundary", "--theta", "0:1:3"),
     ],
 )
 def test_bad_input_exits_2(args):
@@ -281,6 +301,11 @@ class TestConfigFile:
         proc = run_cli("sweep", "--config", str(cfg), "--mu", "1.2")
         _, header, rows = parse_csv(proc.stdout)
         assert float(rows[0][0]) == 1.2
+
+    def test_config_na_counts_as_given(self, tmp_path):
+        cfg = tmp_path / "na.cfg"
+        cfg.write_text("na = X\n")
+        run_cli("sweep", "--config", str(cfg), "--format", "json", expect=2)
 
     def test_malformed_config_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

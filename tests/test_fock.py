@@ -11,13 +11,14 @@ import scipy.linalg
 from scipy import sparse
 
 from tricavity import cli, fock, sacs, surface
-from tricavity.errors import NonConvergence, TailTooLarge
+from tricavity.errors import CutoffNotConverged, NonConvergence, TailTooLarge
 from tricavity.model import (
     AtomicConfiguration,
     ModelParams,
     ParityBranch,
     couplings_from_magnitude,
     excitation_weights,
+    symmetric_occupations,
 )
 from tricavity.vconfig import VParams
 
@@ -33,7 +34,7 @@ class TestSpace:
             atomic = (n + 1) * (n + 2) // 2
             assert space.atomic_dimension == atomic
             assert space.dimension == atomic * (nu_max + 1)
-            assert len(list(space.labels())) == space.dimension
+            assert space.occupations == symmetric_occupations(n)
 
     def test_operator_algebra(self):
         space = fock.TruncatedSpace(2, 12)
@@ -157,7 +158,7 @@ def _reference_operators(space, config):
     """name -> matrix (or M diagonal) of every operator under test."""
     d = space.nu_max + 1
     l2, l3 = excitation_weights(config)
-    m = np.array([nu + l2 * n2 + l3 * n3 for nu, _, n2, n3 in space.labels()])
+    m = np.array([nu + l2 * n2 + l3 * n3 for nu in range(d) for _, n2, n3 in space.occupations])
     ops = {
         "annihilation": _reference_lift_field(space, _reference_field_annihilation(space)),
         "photon_number": _reference_photon_number(space),
@@ -659,6 +660,30 @@ class TestCutoffSchedule:
         assert fock.dark_level(p) is None
         _assert_doubles_from_a_low_estimate(monkeypatch, p)
 
+    def test_gives_up_past_the_largest_cutoff(self, monkeypatch, capsys):
+        # No certificate holds, so the schedule doubles 39 -> 78 and stops
+        # before 156 > NU_MAX_LIMIT, carrying the delta of the last attempt.
+        monkeypatch.setattr(fock, "CERTIFICATE_DELTA", 0.0)
+        monkeypatch.setattr(fock, "NU_MAX_LIMIT", 100)
+        deltas = {}
+        solve = fock.ground_states
+
+        def recorded(params, space, *args, **kwargs):
+            try:
+                return solve(params, space, *args, **kwargs)
+            except CutoffNotConverged as exc:
+                deltas[space.nu_max] = exc.delta
+                raise
+
+        monkeypatch.setattr(fock, "ground_states", recorded)
+        message = "no converged cutoff found up to nu_max=100"
+        with pytest.raises(CutoffNotConverged, match=f"^{message}$") as info:
+            fock.converged_ground_states(VParams(mu=1.0).to_model_params())
+        assert list(deltas) == [39, 78]
+        assert info.value.delta is not None and info.value.delta == deltas[78]
+        assert cli.main(["sweep", "--mu", "1", "--branch", "exact"]) == 3
+        assert capsys.readouterr().err == f"numerical failure at mu=1: {message}\n"
+
     def test_nonconverged_minimizer_still_gives_a_row(self, monkeypatch, capsys):
         _assert_nonconverged_minimizer_gives_a_row(monkeypatch, capsys, 1.0)
 
@@ -818,6 +843,6 @@ class TestSacsVectorOracle:
             sp = random_sacs_point(rng, config, n, BRANCHES[rng.integers(2)])
             space = fock.TruncatedSpace(n, 40)
             vec = fock.build_sacs_vector(sp.point, sp.branch, sp.config, space)
-            closed = sacs.reduced_density_matrix(sp).matrix
+            closed = sacs.reduced_density_matrix(sp)
             oracle = vec.atomic_density_matrix()
             assert np.abs(closed - oracle).max() < 1e-10

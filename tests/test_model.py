@@ -1,5 +1,6 @@
 """Parameter containers, coupling schemes and manifold symmetries."""
 
+import cmath
 import math
 
 import numpy as np
@@ -11,17 +12,14 @@ from tricavity.model import (
     ModelParams,
     ParityBranch,
     Regime,
-    atomic_parity_flip,
     couplings_from_magnitude,
     excitation_weights,
-    parity_partner,
-    rwa_coupling_map,
     symmetric_occupations,
 )
 
 from tricavity.vconfig import VParams
 
-from helpers import CONFIGS, random_point
+from helpers import CONFIGS
 
 
 def make_v_params(mu: float, n_atoms: int = 2, rwa: bool = False) -> ModelParams:
@@ -126,35 +124,10 @@ class TestCoherentPoint:
         for _ in range(50):
             rho = rng.uniform(0.0, 2.0, size=3)
             phi = rng.uniform(-math.pi, math.pi, size=3)
-            pt = CoherentPoint.from_polar(rho[0], phi[0], rho[1], phi[1], rho[2], phi[2])
-            assert abs(abs(pt.alpha) - rho[0]) < 1e-12
-            assert abs(abs(pt.gamma2) - rho[1]) < 1e-12
-            assert abs(abs(pt.gamma3) - rho[2]) < 1e-12
-
-    def test_from_polar_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            CoherentPoint.from_polar(-0.1, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    def test_parity_partner_is_involution(self):
-        rng = np.random.default_rng(31)
-        for config in CONFIGS:
-            for _ in range(20):
-                pt = random_point(rng)
-                twice = parity_partner(config, parity_partner(config, pt))
-                assert twice.alpha == pt.alpha
-                assert twice.gamma2 == pt.gamma2
-                assert twice.gamma3 == pt.gamma3
-
-    def test_parity_partner_flips_odd_weights(self):
-        pt = CoherentPoint(alpha=1 + 2j, gamma2=0.3j, gamma3=0.7)
-        for config in CONFIGS:
-            l2, l3 = excitation_weights(config)
-            partner = parity_partner(config, pt)
-            assert partner.alpha == -pt.alpha
-            assert partner.gamma2 == (-1) ** l2 * pt.gamma2
-            assert partner.gamma3 == (-1) ** l3 * pt.gamma3
-            flip = atomic_parity_flip(config, pt)
-            assert flip.alpha == pt.alpha
+            pt = CoherentPoint(*(r * cmath.exp(1j * t) for r, t in zip(rho, phi)))
+            polar = pt.polar()
+            assert np.max(np.abs(np.array(polar[0::2]) - rho)) < 1e-12
+            assert np.max(np.abs(np.array(polar[1::2]) - phi)) < 1e-12
 
 
 class TestRegimeAndRwa:
@@ -164,14 +137,6 @@ class TestRegimeAndRwa:
         assert VParams(mu=0.51).regime() is Regime.COLLECTIVE
         assert VParams(mu=0.99, rwa=True).regime() is Regime.NORMAL
         assert VParams(mu=1.01, rwa=True).regime() is Regime.COLLECTIVE
-
-    def test_rwa_map_doubles_couplings(self):
-        p = make_v_params(0.7)
-        q = rwa_coupling_map(p)
-        assert q.rwa and not p.rwa
-        assert q.mu12 == 2.0 * p.mu12 and q.mu13 == 2.0 * p.mu13
-        with pytest.raises(ValueError):
-            rwa_coupling_map(q)
 
 
 class TestSymmetricOccupations:

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from tricavity.errors import DegenerateState, IndeterminateQ
-from tricavity.model import AtomicConfiguration, CoherentPoint, ParityBranch, parity_partner
+from tricavity.model import (
+    AtomicConfiguration,
+    CoherentPoint,
+    ParityBranch,
+    excitation_weights,
+)
 from tricavity.sacs import (
     SacsPoint,
     expect_a,
@@ -112,12 +117,10 @@ class TestSymmetries:
             n = int(rng.integers(1, 6))
             branch = BRANCHES[rng.integers(2)]
             sp = random_sacs_point(rng, config, n, branch)
-            mirrored = SacsPoint(
-                point=parity_partner(config, sp.point),
-                branch=branch,
-                config=config,
-                n_atoms=n,
-            )
+            l2, l3 = excitation_weights(config)
+            p = sp.point
+            partner = CoherentPoint(-p.alpha, (-1) ** l2 * p.gamma2, (-1) ** l3 * p.gamma3)
+            mirrored = SacsPoint(point=partner, branch=branch, config=config, n_atoms=n)
             a, b = expect_one_body(sp), expect_one_body(mirrored)
             assert np.allclose(a, b, rtol=0, atol=1e-10)
             na, _ = expect_photon_moments(sp)
@@ -182,7 +185,7 @@ class TestMomentsAndEntropy:
             config = CONFIGS[rng.integers(len(CONFIGS))]
             n = int(rng.integers(1, 6))
             sp = random_sacs_point(rng, config, n, BRANCHES[rng.integers(2)])
-            rho = reduced_density_matrix(sp).matrix
+            rho = reduced_density_matrix(sp)
             assert abs(np.trace(rho) - 1.0) < 1e-12
             assert np.allclose(rho, rho.conj().T, atol=1e-12)
             eigs = np.linalg.eigvalsh(rho)
@@ -193,7 +196,7 @@ class TestMomentsAndEntropy:
         for _ in range(30):
             config = CONFIGS[rng.integers(len(CONFIGS))]
             sp = random_sacs_point(rng, config, int(rng.integers(1, 6)), BRANCHES[rng.integers(2)])
-            rho = reduced_density_matrix(sp).matrix
+            rho = reduced_density_matrix(sp)
             direct = 1.0 - float(np.sum(np.abs(rho) ** 2))
             assert abs(linear_entropy(sp) - direct) < 1e-10
             assert -1e-12 <= linear_entropy(sp) <= 1.0

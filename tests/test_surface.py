@@ -1,6 +1,8 @@
 """Product-state energy surface, its minimization and its observables."""
 
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from tricavity.model import (
     CoherentPoint,
     ModelParams,
     ParityBranch,
-    rwa_coupling_map,
 )
 from tricavity.surface import (
     _field_radius,
@@ -45,7 +46,7 @@ class TestEnergyForms:
             p = random_params(rng, config, int(rng.integers(1, 5)), rwa=bool(rng.integers(2)))
             rho = rng.uniform(0.0, 1.5, size=3)
             phi = rng.uniform(-math.pi, math.pi, size=3)
-            pt = CoherentPoint.from_polar(rho[0], phi[0], rho[1], phi[1], rho[2], phi[2])
+            pt = CoherentPoint(*(r * cmath.exp(1j * t) for r, t in zip(rho, phi)))
             via_polar = energy_polar(p, rho[0], phi[0], rho[1], phi[1], rho[2], phi[2])
             assert abs(energy(p, pt) - via_polar) < 1e-10 * max(1.0, abs(via_polar))
 
@@ -56,7 +57,7 @@ class TestEnergyForms:
         for _ in range(40):
             config = CONFIGS[rng.integers(len(CONFIGS))]
             p = random_params(rng, config, int(rng.integers(1, 4)))
-            q = rwa_coupling_map(p)
+            q = replace(p, mu12=2.0 * p.mu12, mu13=2.0 * p.mu13, mu23=2.0 * p.mu23, rwa=True)
             vals = rng.uniform(0.0, 1.5, size=3)
             pt = CoherentPoint(complex(vals[0]), complex(vals[1]), complex(vals[2]))
             assert abs(energy(p, pt) - energy(q, pt)) < 1e-12
