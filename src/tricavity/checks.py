@@ -547,15 +547,10 @@ def check_fock_structure(rng: np.random.Generator, level: CheckLevel) -> CheckRe
         mop = fock.m_operator(space, config)
         worst = max(worst, float(abs(h_rwa @ mop - mop @ h_rwa).max()))
         ident = np.eye(space.atomic_dimension)
-        total = sum(
-            fock.atomic_transition(space, k, k).toarray() for k in (1, 2, 3)
-        )
+        tables = _atomic_tables(n_atoms)
+        total = sum(tables[k, k] for k in (1, 2, 3))
         worst = max(worst, float(np.max(np.abs(total - n_atoms * ident))))
-        quad = sum(
-            (fock.atomic_transition(space, k, j) @ fock.atomic_transition(space, j, k)).toarray()
-            for k in (1, 2, 3)
-            for j in (1, 2, 3)
-        )
+        quad = sum(tables[k, j] @ tables[j, k] for k in (1, 2, 3) for j in (1, 2, 3))
         worst = max(
             worst,
             float(np.max(np.abs(quad - (n_atoms**2 + 2 * n_atoms) * ident))),

@@ -231,12 +231,13 @@ def _emit(args, metadata: dict, columns: list[str], rows: list[list]) -> None:
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
+        na = getattr(args, "na", None)  # only sweep and phase-boundary take --na
         lines = [f"# tricavity {__version__}"]
         for key in sorted(metadata):
             lines.append(f"# {key} = {metadata[key]}")
         lines.append(",".join(columns))
         for row in rows:
-            lines.append(",".join(_fmt(v, "NA" if args.na is None else args.na) for v in row))
+            lines.append(",".join(_fmt(v, "NA" if na is None else na) for v in row))
         text = "\n".join(lines) + "\n"
     if args.out in (None, "-"):
         sys.stdout.write(text)
@@ -360,15 +361,9 @@ def cmd_phase_boundary(args, parser) -> int:
         return _make_params(args, mu, theta[0], atoms[0])
 
     numeric = surface.boundary_coupling(make, mu_lo, mu_hi, coupling_tol=args.tol)
-    probe = make(max(mu_lo, 1e-6))
     analytic = None
-    if (
-        probe.config is AtomicConfiguration.V
-        and probe.omega2 == probe.omega3
-    ):
-        analytic = vconfig.mu_critical(
-            probe.omega, probe.omega3 - probe.omega1, rwa=probe.rwa
-        )
+    if args.atom_config == "v" and args.omega2 == args.omega3:
+        analytic = vconfig.mu_critical(args.omega, args.omega3 - args.omega1, rwa=args.rwa)
     metadata = _base_metadata(args, "phase-boundary")
     metadata.update(
         {
@@ -449,15 +444,18 @@ def cmd_validate(args, parser) -> int:
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser, mu_default: str, mu_help: str) -> None:
+def _add_common(
+    sub: argparse.ArgumentParser, mu_default: str, mu_help: str, na: bool = False
+) -> None:
     sub.add_argument("--config", help="flat key = value file; flags override it")
     sub.add_argument("--out", help="output path (default stdout)")
     sub.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
     )
-    sub.add_argument(
-        "--na", help="CSV sentinel for indeterminate values (default NA; JSON writes null)"
-    )
+    if na:
+        sub.add_argument(
+            "--na", help="CSV sentinel for indeterminate values (default NA; JSON writes null)"
+        )
     sub.add_argument("--mu", default=mu_default, help=mu_help)
     sub.add_argument(
         "--theta",
@@ -513,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
             "and matter linear entropy, one column block per approximation."
         ),
     )
-    _add_common(sweep, "0:2:201", "coupling magnitude (single value or range)")
+    _add_common(sweep, "0:2:201", "coupling magnitude (single value or range)", na=True)
     _add_nu_max(sweep, None, "photon cutoff of the exact branch (default: auto-converged)")
     sweep.add_argument(
         "--jobs", type=_checked(int, lambda v: v >= 1, "an integer >= 1"), default=1,
@@ -542,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
             "boundary alongside when one exists (degenerate-pair scheme)."
         ),
     )
-    _add_common(boundary, "0.05:3", "bracket lo:hi for the bisection")
+    _add_common(boundary, "0.05:3", "bracket lo:hi for the bisection", na=True)
     boundary.add_argument(
         "--tol", type=_checked(float, lambda v: 0 < v < math.inf, "a finite number > 0"),
         default=1e-6,
@@ -640,7 +638,7 @@ def main(argv=None) -> int:
             print(f"bad config file: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT
         args = parser.parse_args([argv[0]] + injected + argv[1:])
-    if getattr(args, "format", None) == "json" and args.na is not None:
+    if getattr(args, "format", None) == "json" and getattr(args, "na", None) is not None:
         parser.error("--na is the CSV sentinel; JSON writes null")
     try:
         return args.func(args, parser)

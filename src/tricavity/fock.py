@@ -204,30 +204,12 @@ def _csr(size: int, blocks) -> sparse.csr_matrix:
     return matrix
 
 
-def atomic_transition(space: TruncatedSpace, i: int, j: int) -> sparse.csr_matrix:
-    """Collective A_ij = b_i' b_j on the atomic factor alone."""
-    entries = _atomic_entries(space.n_atoms, i, j, space.dark_level)
-    return _csr(space.atomic_dimension, [entries])
-
-
-def _lift_atomic(space: TruncatedSpace, op: sparse.csr_matrix) -> sparse.csr_matrix:
-    """1 x op, assembled directly: one copy of op per photon number.
-
-    In the nu-major basis this is block diagonal, so the CSR arrays are
-    those of op repeated with shifted offsets (the arrays sparse.kron gives).
-    """
-    copies = np.arange(space.nu_max + 1)[:, None]
-    dim = op.shape[0]
-    indptr = np.append((op.indptr[:-1] + op.nnz * copies).ravel(), op.nnz * len(copies))
-    indices = (op.indices + dim * copies).ravel()
-    data = np.tile(op.data, len(copies))
-    size = dim * len(copies)
-    return sparse.csr_matrix((data, indices, indptr), shape=(size, size))
-
-
 def transition(space: TruncatedSpace, i: int, j: int) -> sparse.csr_matrix:
-    """A_ij on the full truncated space."""
-    return _lift_atomic(space, atomic_transition(space, i, j))
+    """A_ij on the full truncated space: 1 x A_ij, one copy of the atomic entries per nu."""
+    rows, cols, amps = _atomic_entries(space.n_atoms, i, j, space.dark_level)
+    shifts = space.atomic_dimension * np.arange(space.nu_max + 1)[:, None]
+    values = np.tile(amps, space.nu_max + 1)
+    return _csr(space.dimension, [((shifts + rows).ravel(), (shifts + cols).ravel(), values)])
 
 
 def annihilation(space: TruncatedSpace) -> sparse.csr_matrix:
@@ -392,11 +374,11 @@ def _lowest_eigenpairs(
     fixed start vector, so that repeated solves agree bit for bit. A block
     of `_blocks` has off-diagonals <= 0, so its ground state is positive and
     overlaps the positive start vector; the entries are unequal because a
-    uniform vector misses states odd under a level exchange. A Lanczos block
-    takes its part of `start` (a vector of length `size`) instead when that
-    part is not all zero (the certificate passes the ground vector, which is
-    nearly the answer). The blocks' pairs are merged by a stable sort; each
-    eigenvector has length `size` and is zero off its block's indices.
+    uniform vector misses states odd under a level exchange. Given `start`
+    (a vector of length `size`), a Lanczos block starts from its part of it
+    instead (the certificate passes the ground vector, which is nearly the
+    answer). The blocks' pairs are merged by a stable sort; each eigenvector
+    has length `size` and is zero off its block's indices.
     """
     values, columns = [], []
     for part, sub in blocks:
@@ -405,9 +387,7 @@ def _lowest_eigenpairs(
         if n <= DENSE_CUTOFF or 16 * kk >= n:
             vals, vecs = scipy.linalg.eigh(sub.toarray(), subset_by_index=(0, kk - 1))
         else:
-            v0 = None if start is None else start[part]
-            if v0 is None or not v0.any():
-                v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+            v0 = np.random.default_rng(0).uniform(0.5, 1.5, n) if start is None else start[part]
             vals, vecs = eigsh(sub, k=kk, which="SA", v0=v0)
         values.extend(vals)
         columns.extend((part, vec) for vec in vecs.T)
@@ -516,12 +496,15 @@ def ground_states(
 
     The space is the full one or the bright block of the parameters' frame
     (`TruncatedSpace(n, nu_max, dark_level(params))`); the states live on it.
-    The certificate compares each sector energy against the same computation
-    at nu_max - 10 and requires agreement within CERTIFICATE_DELTA. The basis
-    is nu-major, so the nu_max - 10 sector is made of the leading prefix of
-    each block of `_blocks`, sliced rather than rebuilt. Its Lanczos blocks
-    start from the sector ground vector; the main solve keeps the fixed
-    start, so the result stays deterministic.
+    The certificate compares each sector energy E against the lowest
+    eigenvalue of the block that holds its ground vector, cut to its
+    nu <= nu_max - 10 states, and requires agreement within
+    CERTIFICATE_DELTA. The basis is nu-major, so that cut is a prefix of the
+    block of `_blocks`, sliced rather than rebuilt; a Lanczos solve of it
+    starts from the ground vector, while the main solve keeps the fixed
+    start, so the result stays deterministic. By Cauchy interlacing no
+    prefix of another block lies below its block's ground, which is at least
+    E, so this delta is never below that of the whole nu_max - 10 sector.
     """
     if certify and space.nu_max < 11:
         raise CutoffNotConverged("nu_max too small to certify", delta=None)
@@ -532,12 +515,12 @@ def ground_states(
         state = StateVector(space, _fix_phase(vecs[:, 0]).astype(complex))
         grounds.append(SectorGround(float(vals[0]), state, branch))
         if certify:
-            prefixes = []
-            for part, block in blocks:
-                m = int(np.searchsorted(part, leading))
-                if m:
-                    prefixes.append((part[:m], block[:m, :m]))
-            lead = _lowest_eigenpairs(prefixes, 1, leading, start=vecs[:, 0])[0][0]
+            part, block = next(pair for pair in blocks if vecs[pair[0], 0].any())
+            m = int(np.searchsorted(part, leading))
+            lead = math.inf  # a ground block without such states certifies nothing
+            if m:
+                prefix = [(part[:m], block[:m, :m])]
+                lead = _lowest_eigenpairs(prefix, 1, leading, start=vecs[:, 0])[0][0]
             deltas.append(abs(lead - vals[0]))
 
     certificate = {"delta": None, "nu_max": space.nu_max, "certified": False}

@@ -163,7 +163,7 @@ def sacs_energy_v(vp: VParams, branch: ParityBranch) -> float:
     """Printed-form SACS energy per atom (fixed scaling, full Hamiltonian).
 
     Informational: the printed branch assignment disagrees with direct
-    evaluation of the adapted states (see `checks.printed_energy_comparison`).
+    evaluation of the adapted states (see `checks.info_printed_energy`).
     """
     _require_printed_scaling(vp, "the SACS energy closed form")
     if vp.rwa:

@@ -205,12 +205,13 @@ class TestSweep:
 
     def test_na_sentinel_marks_indeterminate_cells(self):
         # The exact ground at mu = 0 is the vacuum: <M> = 0 leaves Q undefined.
-        proc = run_cli(
-            "sweep", "--mu", "0", "--branch", "odd,exact", "--outputs", "q", "--na", "X"
-        )
-        _, header, rows = parse_csv(proc.stdout)
-        assert rows[0][header.index("exact_q_m")] == "X"
-        assert column(header, rows, "odd_q_m") == [-1.0]
+        for na in ("X", ""):
+            proc = run_cli(
+                "sweep", "--mu", "0", "--branch", "odd,exact", "--outputs", "q", "--na", na
+            )
+            _, header, rows = parse_csv(proc.stdout)
+            assert rows[0][header.index("exact_q_m")] == na
+            assert column(header, rows, "odd_q_m") == [-1.0]
 
     def test_log_grid(self):
         proc = run_cli(
@@ -274,6 +275,8 @@ class TestSweep:
         ("phase-boundary", "--nu-max", "5"),
         ("sweep", "--mu", "1", "--branch", "coherent", "--nu-max", "40"),
         ("sweep", "--format", "json", "--na", "X"),
+        ("photon-dist", "--na", "X"),
+        ("spectrum", "--na", "X"),
         ("sweep", "--mu", "1:2"),
         ("sweep", "--n-atoms", "0"),
         ("sweep", "--n-atoms", "a"),
@@ -306,6 +309,7 @@ class TestConfigFile:
         cfg = tmp_path / "na.cfg"
         cfg.write_text("na = X\n")
         run_cli("sweep", "--config", str(cfg), "--format", "json", expect=2)
+        run_cli("photon-dist", "--config", str(cfg), expect=2)
 
     def test_malformed_config_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

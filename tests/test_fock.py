@@ -58,7 +58,7 @@ class TestSpace:
                 for j in (1, 2, 3):
                     reference = sparse.kron(
                         sparse.identity(nu_max + 1),
-                        fock.atomic_transition(space, i, j),
+                        _reference_atomic(space, i, j),
                         format="csr",
                     )
                     lifted = fock.transition(space, i, j)
@@ -239,9 +239,10 @@ class TestIndexAssembly:
                     "m_diagonal": fock.m_diagonal(space, config),
                     "parity_operator": fock.parity_operator(space, config),
                 }
+                atomic = fock.TruncatedSpace(n_atoms, 0)
                 for i in (1, 2, 3):
                     for j in (1, 2, 3):
-                        built[f"atomic_transition{i}{j}"] = fock.atomic_transition(space, i, j)
+                        built[f"atomic_transition{i}{j}"] = fock.transition(atomic, i, j)
                         built[f"transition{i}{j}"] = fock.transition(space, i, j)
                 for name, reference in _reference_operators(space, config).items():
                     assert _same_arrays(built[name], reference), (name, n_atoms, nu_max)
@@ -251,7 +252,7 @@ class TestIndexAssembly:
         space = fock.TruncatedSpace(3, 9)
         pairs = (
             (fock.build_hamiltonian(params, space), _reference_hamiltonian(params, space)),
-            (fock.atomic_transition(space, 2, 3), _reference_atomic(space, 2, 3)),
+            (fock.transition(fock.TruncatedSpace(3, 0), 2, 3), _reference_atomic(space, 2, 3)),
         )
         for built, matrix in pairs:
             assert _same_arrays(built, matrix)
@@ -301,7 +302,7 @@ class TestIndexAssembly:
                 with pytest.raises(ValueError):
                     array[0] = 0
         builders = (
-            lambda: fock.atomic_transition(space, 1, 2),
+            lambda: fock.transition(space, 1, 2),
             lambda: fock.transition(space, 2, 2),
             lambda: fock.build_hamiltonian(params, space),
         )
@@ -727,8 +728,8 @@ class TestWarmCertificate:
         [
             # One Lanczos component per sector, started from the ground vector.
             (VParams(mu=1.5, theta=0.8, n_atoms=8), fock.DENSE_CUTOFF),
-            # Under the RWA the ground is the vacuum, so every other M block
-            # has no start weight and keeps the seeded start.
+            # Under the RWA the ground is the vacuum, a block of its own, and
+            # only its prefix is solved for the certificate.
             (VParams(mu=0.3, n_atoms=20, rwa=True), 50),
         ],
     )
@@ -750,15 +751,39 @@ class TestWarmCertificate:
         assert fock.dark_level(p) is None
         _assert_delta_matches_dense_leading_block(monkeypatch, p, dense_cutoff)
 
-    def test_zero_start_keeps_seeded_start(self, monkeypatch):
-        p = VParams(mu=1.3, n_atoms=4).to_model_params()
-        space = fock.TruncatedSpace(4, 60)
-        even, _ = fock._blocks(p, space)
-        monkeypatch.setattr(fock, "DENSE_CUTOFF", 50)
-        seeded = fock._lowest_eigenpairs(even, 1, space.dimension)
-        zero = fock._lowest_eigenpairs(even, 1, space.dimension, start=np.zeros(space.dimension))
-        assert np.array_equal(seeded[0], zero[0])
-        assert np.array_equal(seeded[1], zero[1])
+    def test_certificate_solves_only_the_ground_block(self, monkeypatch):
+        # Under the RWA each sector splits into one block per M; the
+        # certificate cuts only the block that holds the sector ground.
+        p = _frame_params(AtomicConfiguration.LAMBDA, True, "default", 6, mu=0.4, theta=0.8)
+        assert fock.dark_level(p) is None
+        solve, calls = fock._lowest_eigenpairs, []
+
+        def recording(blocks, k, size, start=None):
+            calls.append((blocks, start))
+            return solve(blocks, k, size, start)
+
+        monkeypatch.setattr(fock, "_lowest_eigenpairs", recording)
+        result = fock.converged_ground_states(p)
+        assert result.certificate["certified"]
+        main = [blocks for blocks, start in calls if start is None]
+        certificates = [(blocks, start) for blocks, start in calls if start is not None]
+        assert len(certificates) == len(main) and min(len(blocks) for blocks in main) > 1
+        for blocks, start in certificates:
+            ((part, _),) = blocks
+            assert start[part].any()
+        _assert_delta_matches_dense_leading_block(monkeypatch, p, fock.DENSE_CUTOFF)
+
+    def test_ground_block_without_leading_states_is_not_certified(self):
+        # A nearly free field under the RWA puts each sector's ground in a
+        # block of fixed M whose states all have nu > nu_max - 10.
+        config = AtomicConfiguration.XI
+        p = ModelParams(
+            omega=0.01, omega1=0.0, omega2=0.01, omega3=0.02, n_atoms=2, config=config,
+            rwa=True, **couplings_from_magnitude(config, 3.0, 0.8),
+        )
+        with pytest.raises(CutoffNotConverged) as caught:
+            fock.ground_states(p, fock.TruncatedSpace(2, 11))
+        assert caught.value.delta == math.inf
 
 
 def _assert_delta_matches_dense_leading_block(monkeypatch, p, dense_cutoff):
