@@ -219,9 +219,15 @@ def annihilation(space: TruncatedSpace) -> sparse.csr_matrix:
     return _csr(space.dimension, [(rows, rows + space.atomic_dimension, roots)])
 
 
+def _diagonal(values: np.ndarray):
+    """(rows, cols, values) block of the nonzero entries of a diagonal, for `_csr`."""
+    index = np.flatnonzero(values)
+    return index, index, values[index]
+
+
 def photon_number(space: TruncatedSpace) -> sparse.csr_matrix:
     nus = np.repeat(np.arange(space.nu_max + 1, dtype=float), space.atomic_dimension)
-    return sparse.diags(nus).tocsr()
+    return _csr(space.dimension, [_diagonal(nus)])
 
 
 def m_diagonal(space: TruncatedSpace, config: AtomicConfiguration) -> np.ndarray:
@@ -232,14 +238,14 @@ def m_diagonal(space: TruncatedSpace, config: AtomicConfiguration) -> np.ndarray
 
 
 def m_operator(space: TruncatedSpace, config: AtomicConfiguration) -> sparse.csr_matrix:
-    return sparse.diags(m_diagonal(space, config).astype(float)).tocsr()
+    return _csr(space.dimension, [_diagonal(m_diagonal(space, config).astype(float))])
 
 
 def parity_operator(
     space: TruncatedSpace, config: AtomicConfiguration
 ) -> sparse.csr_matrix:
     signs = 1.0 - 2.0 * (m_diagonal(space, config) % 2)
-    return sparse.diags(signs).tocsr()
+    return _csr(space.dimension, [_diagonal(signs)])
 
 
 def parity_sectors(
@@ -290,9 +296,8 @@ def build_hamiltonian(params: ModelParams, space: TruncatedSpace) -> sparse.csr_
     for i, w in zip((1, 2, 3), params.level_energies):
         if w != 0.0:
             diag = diag + w * transition(space, i, i).diagonal()
-    index = np.flatnonzero(diag)
     couplings = _coupling_entries(params, space, (1,) if params.rwa else (1, -1))
-    return _csr(space.dimension, [(index, index, diag[index]), *couplings])
+    return _csr(space.dimension, [_diagonal(diag), *couplings])
 
 
 @dataclass
@@ -364,9 +369,9 @@ def build_sacs_vector(
 
 
 def _lowest_eigenpairs(
-    blocks, k: int, size: int, start: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenvalues (ascending) and eigenvectors of (indices, block) pairs.
+    blocks, k: int, start: np.ndarray | None = None
+) -> list[tuple[float, int, np.ndarray]]:
+    """Lowest k (eigenvalue, block number, eigenvector on the block) of (indices, block) pairs.
 
     Each block is solved on its own: dense when it has at most DENSE_CUTOFF
     states or k is at least 1/16 of its size (where dense was measured
@@ -375,36 +380,22 @@ def _lowest_eigenpairs(
     of `_blocks` has off-diagonals <= 0, so its ground state is positive and
     overlaps the positive start vector; the entries are unequal because a
     uniform vector misses states odd under a level exchange. Given `start`
-    (a vector of length `size`), a Lanczos block starts from its part of it
-    instead (the certificate passes the ground vector, which is nearly the
-    answer). The blocks' pairs are merged by a stable sort; each eigenvector
-    has length `size` and is zero off its block's indices.
+    (a vector on the one block passed), a Lanczos solve starts from it
+    instead (the certificate passes the ground vector cut to the block,
+    which is nearly the answer). The triples of all blocks are merged by a
+    stable sort on the eigenvalue.
     """
-    values, columns = [], []
-    for part, sub in blocks:
+    triples = []
+    for number, (part, sub) in enumerate(blocks):
         n = part.size
         kk = min(k, n)
         if n <= DENSE_CUTOFF or 16 * kk >= n:
             vals, vecs = scipy.linalg.eigh(sub.toarray(), subset_by_index=(0, kk - 1))
         else:
-            v0 = np.random.default_rng(0).uniform(0.5, 1.5, n) if start is None else start[part]
+            v0 = np.random.default_rng(0).uniform(0.5, 1.5, n) if start is None else start
             vals, vecs = eigsh(sub, k=kk, which="SA", v0=v0)
-        values.extend(vals)
-        columns.extend((part, vec) for vec in vecs.T)
-    order = np.argsort(values, kind="stable")[:k]
-    vectors = np.zeros((size, order.size))
-    for out, pick in enumerate(order):
-        part, vec = columns[pick]
-        vectors[part, out] = vec
-    return np.asarray(values)[order], vectors
-
-
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(vec)))
-    pivot = vec[k]
-    if pivot == 0:
-        return vec
-    return vec * (abs(pivot) / pivot)
+        triples.extend((value, number, vec) for value, vec in zip(vals, vecs.T))
+    return sorted(triples, key=lambda triple: triple[0])[:k]
 
 
 @dataclass
@@ -497,11 +488,11 @@ def ground_states(
     The space is the full one or the bright block of the parameters' frame
     (`TruncatedSpace(n, nu_max, dark_level(params))`); the states live on it.
     The certificate compares each sector energy E against the lowest
-    eigenvalue of the block that holds its ground vector, cut to its
+    eigenvalue of the block the solver names for its ground, cut to its
     nu <= nu_max - 10 states, and requires agreement within
     CERTIFICATE_DELTA. The basis is nu-major, so that cut is a prefix of the
     block of `_blocks`, sliced rather than rebuilt; a Lanczos solve of it
-    starts from the ground vector, while the main solve keeps the fixed
+    starts from the ground vector cut alike, while the main solve keeps the fixed
     start, so the result stays deterministic. By Cauchy interlacing no
     prefix of another block lies below its block's ground, which is at least
     E, so this delta is never below that of the whole nu_max - 10 sector.
@@ -511,17 +502,18 @@ def ground_states(
     leading = (space.nu_max - 9) * space.atomic_dimension
     grounds, deltas = [], []
     for branch, blocks in zip(ParityBranch, _blocks(params, space)):
-        vals, vecs = _lowest_eigenpairs(blocks, 1, space.dimension)
-        state = StateVector(space, _fix_phase(vecs[:, 0]).astype(complex))
-        grounds.append(SectorGround(float(vals[0]), state, branch))
+        ((energy, number, vec),) = _lowest_eigenpairs(blocks, 1)
+        part, block = blocks[number]
+        pivot = vec[np.argmax(np.abs(vec))]  # the phase makes the largest entry positive
+        data = np.zeros(space.dimension, dtype=complex)
+        data[part] = vec * (abs(pivot) / pivot)
+        grounds.append(SectorGround(float(energy), StateVector(space, data), branch))
         if certify:
-            part, block = next(pair for pair in blocks if vecs[pair[0], 0].any())
             m = int(np.searchsorted(part, leading))
             lead = math.inf  # a ground block without such states certifies nothing
             if m:
-                prefix = [(part[:m], block[:m, :m])]
-                lead = _lowest_eigenpairs(prefix, 1, leading, start=vecs[:, 0])[0][0]
-            deltas.append(abs(lead - vals[0]))
+                ((lead, _, _),) = _lowest_eigenpairs([(part[:m], block[:m, :m])], 1, start=vec[:m])
+            deltas.append(abs(lead - energy))
 
     certificate = {"delta": None, "nu_max": space.nu_max, "certified": False}
     if certify:
@@ -573,10 +565,10 @@ def sector_spectrum(
     params: ModelParams, space: TruncatedSpace, k: int = 6
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenvalues of the even and of the odd sector, from one H build."""
-    even, odd = (
-        _lowest_eigenpairs(blocks, k, space.dimension)[0] for blocks in _blocks(params, space)
+    return tuple(
+        np.array([value for value, _, _ in _lowest_eigenpairs(blocks, k)])
+        for blocks in _blocks(params, space)
     )
-    return even, odd
 
 
 def excitation_rotation_deviation(

@@ -14,7 +14,7 @@ Every expectation follows one parity rule. A term that changes the branch
 (odd under exp(i pi M)) has expectation 0. Any other term with k atomic
 operators has reduced expectation 2 direct (1 + sigma pi u_k), where direct
 is its value in the coherent point and pi the parity of its cross part;
-`_Frame.term` evaluates it, guarding 1 - u_k against cancellation.
+`SacsPoint._term` evaluates it, guarding 1 - u_k against cancellation.
 """
 
 from __future__ import annotations
@@ -47,7 +47,14 @@ _DEGENERACY_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class SacsPoint:
-    """A parity-adapted coherent state: point, branch, scheme, atom number."""
+    """A parity-adapted coherent state: point, branch, scheme, atom number.
+
+    Construction also derives, once, the scalars every expectation reads:
+    sigma (the branch sign), lam = (0, lambda2, lambda3), g = gamma*.gamma,
+    t = gt/g with gt = gamma*.gamma~ (real, possibly negative),
+    alpha_sq = |alpha|^2, s = exp(-2 |alpha|^2) and log_t = log t (None
+    unless t > 0), so that u_k = s t^(N-k).
+    """
 
     point: CoherentPoint
     branch: ParityBranch
@@ -57,70 +64,52 @@ class SacsPoint:
     def __post_init__(self):
         if not isinstance(self.n_atoms, int) or self.n_atoms < 1:
             raise ValueError(f"n_atoms must be a positive integer, got {self.n_atoms}")
+        l2, l3 = excitation_weights(self.config)
+        a2, a3 = abs(self.point.gamma2) ** 2, abs(self.point.gamma3) ** 2
+        g = 1.0 + a2 + a3
+        # gt - g without cancellation: only odd-weight levels contribute.
+        delta = ((-1) ** l2 - 1) * a2 + ((-1) ** l3 - 1) * a3
+        t = (g + delta) / g
+        alpha_sq = abs(self.point.alpha) ** 2
+        # Set past the frozen guard; derived from the fields, so never compared.
+        vars(self).update(
+            sigma=self.branch.sign, lam=(0, l2, l3), g=g, t=t, alpha_sq=alpha_sq,
+            s=math.exp(-2.0 * alpha_sq), log_t=math.log1p(delta / g) if t > 0.0 else None,
+        )
 
     def norm_squared(self) -> float:
         """Actual (unreduced) norm of the unnormalized superposition."""
-        frame = _Frame(self)
-        return frame.kernel_reduced() * math.exp(abs(self.point.alpha) ** 2) * frame.g**self.n_atoms
+        return self._kernel() * math.exp(self.alpha_sq) * self.g**self.n_atoms
 
-
-class _Frame:
-    """Scalar ingredients shared by every SACS expectation at one point.
-
-    g  = gamma*.gamma,  gt = gamma*.gamma~  (both real, gt may be negative),
-    s  = exp(-2 |alpha|^2),  t = gt/g,  u_k = s t^(N-k).
-    """
-
-    __slots__ = ("sp", "n", "sigma", "lam", "g", "gt", "t", "s", "alpha_sq", "_log_t")
-
-    def __init__(self, sp: SacsPoint):
-        self.sp = sp
-        self.n = sp.n_atoms
-        self.sigma = sp.branch.sign
-        l2, l3 = excitation_weights(sp.config)
-        self.lam = (0, l2, l3)
-        p = sp.point
-        a2, a3 = abs(p.gamma2) ** 2, abs(p.gamma3) ** 2
-        self.g = 1.0 + a2 + a3
-        # gt - g without cancellation: only odd-weight levels contribute.
-        delta = ((-1) ** l2 - 1) * a2 + ((-1) ** l3 - 1) * a3
-        self.gt = self.g + delta
-        self.t = self.gt / self.g
-        self.alpha_sq = abs(p.alpha) ** 2
-        self.s = math.exp(-2.0 * self.alpha_sq)
-        self._log_t = math.log1p(delta / self.g) if self.t > 0.0 else None
-
-    def one_plus(self, sign: int, k: int) -> float:
+    def _one_plus(self, sign: int, k: int) -> float:
         """1 + sign * u_k (k <= N), accurate when u_k -> 1 cancels against sign = -1."""
-        if sign < 0 and self._log_t is not None:
-            log_u = -2.0 * self.alpha_sq + (self.n - k) * self._log_t
+        if sign < 0 and self.log_t is not None:
+            log_u = -2.0 * self.alpha_sq + (self.n_atoms - k) * self.log_t
             return -math.expm1(log_u)
-        return 1.0 + sign * self.s * self.t ** (self.n - k)
+        return 1.0 + sign * self.s * self.t ** (self.n_atoms - k)
 
-    def term(self, direct, parity: int, k: int):
+    def _term(self, direct, parity: int, k: int):
         """Reduced expectation of a term that keeps the branch: 2 direct (1 + sigma parity u_k).
 
         ``direct`` is its value in the coherent point, ``parity`` that of its
         cross part (the field and every gamma_i it carries), ``k`` the number
         of atomic operators in it.
         """
-        return 2.0 * direct * self.one_plus(self.sigma * parity, k)
+        return 2.0 * direct * self._one_plus(self.sigma * parity, k)
 
-    def kernel_reduced(self) -> float:
-        return self.term(1.0, 1, 0)
+    def _kernel(self) -> float:
+        return self._term(1.0, 1, 0)
 
-    def kernel_checked(self) -> float:
-        kr = self.kernel_reduced()
+    def _kernel_checked(self) -> float:
+        kr = self._kernel()
         if kr <= _DEGENERACY_FLOOR:
-            raise DegenerateState(
-                f"{self.sp.branch.name.lower()} SACS has zero norm at this point"
-            )
+            raise DegenerateState(f"{self.branch.name.lower()} SACS has zero norm at this point")
         return kr
 
-    def gamma(self, i: int) -> complex:
-        return self.sp.point.gammas[i - 1]
+    def _gamma(self, i: int) -> complex:
+        return self.point.gammas[i - 1]
 
-    def parity(self, i: int) -> int:
+    def _parity(self, i: int) -> int:
         return (-1) ** self.lam[i - 1]
 
 
@@ -128,81 +117,76 @@ class _Frame:
 # changes the branch (odd under the excitation parity) has expectation 0.
 
 
-def _photons(f: _Frame) -> float:
-    return f.term(f.alpha_sq, -1, 0)
+def _photons(sp: SacsPoint) -> float:
+    return sp._term(sp.alpha_sq, -1, 0)
 
 
-def _a(f: _Frame, i: int, j: int) -> complex:
+def _a(sp: SacsPoint, i: int, j: int) -> complex:
     """<A_ij> reduced; it keeps the branch iff p_i = p_j."""
-    if f.parity(i) != f.parity(j):
+    if sp._parity(i) != sp._parity(j):
         return 0j
-    return f.term(f.n * f.gamma(i).conjugate() * f.gamma(j) / f.g, f.parity(i), 1)
+    return sp._term(sp.n_atoms * sp._gamma(i).conjugate() * sp._gamma(j) / sp.g, sp._parity(i), 1)
 
 
-def _a_product(f: _Frame, i: int, j: int, k: int, l: int) -> complex:
+def _a_product(sp: SacsPoint, i: int, j: int, k: int, l: int) -> complex:
     # A_ij A_kl = delta_jk A_il + the two-body part over distinct atoms.
-    num = _a(f, i, l) if j == k else 0j
-    pi, pk = f.parity(i), f.parity(k)
-    if f.n > 1 and pi * f.parity(j) * pk * f.parity(l) == 1:
+    num = _a(sp, i, l) if j == k else 0j
+    n, pi, pk = sp.n_atoms, sp._parity(i), sp._parity(k)
+    if n > 1 and pi * sp._parity(j) * pk * sp._parity(l) == 1:
         direct = (
-            f.n
-            * (f.n - 1)
-            * f.gamma(i).conjugate()
-            * f.gamma(j)
-            * f.gamma(k).conjugate()
-            * f.gamma(l)
-            / f.g**2
+            n
+            * (n - 1)
+            * sp._gamma(i).conjugate()
+            * sp._gamma(j)
+            * sp._gamma(k).conjugate()
+            * sp._gamma(l)
+            / sp.g**2
         )
-        num += f.term(direct, pi * pk, 2)
+        num += sp._term(direct, pi * pk, 2)
     return num
 
 
-def _a_field(f: _Frame, i: int, j: int) -> complex:
+def _a_field(sp: SacsPoint, i: int, j: int) -> complex:
     """<A_ij a> reduced; a flips the parity, so it keeps the branch iff p_i != p_j."""
-    if f.parity(i) == f.parity(j):
+    if sp._parity(i) == sp._parity(j):
         return 0j
-    alpha = f.sp.point.alpha
-    return f.term(f.n * alpha * f.gamma(i).conjugate() * f.gamma(j) / f.g, f.parity(i), 1)
+    direct = sp.n_atoms * sp.point.alpha * sp._gamma(i).conjugate() * sp._gamma(j) / sp.g
+    return sp._term(direct, sp._parity(i), 1)
 
 
 def kernel_reduced(sp: SacsPoint) -> float:
     """Norm squared divided by exp(|alpha|^2) (gamma*.gamma)^N."""
-    return _Frame(sp).kernel_reduced()
+    return sp._kernel()
 
 
 def expect_one_body(sp: SacsPoint) -> OneBodyExpectations:
     """Normalized <A_11>, <A_22>, <A_33>, <a'a>."""
-    f = _Frame(sp)
-    kr = f.kernel_checked()
-    a11, a22, a33 = (_a(f, i, i).real / kr for i in (1, 2, 3))
-    return OneBodyExpectations(a11, a22, a33, _photons(f) / kr)
+    kr = sp._kernel_checked()
+    a11, a22, a33 = (_a(sp, i, i).real / kr for i in (1, 2, 3))
+    return OneBodyExpectations(a11, a22, a33, _photons(sp) / kr)
 
 
 def expect_a(sp: SacsPoint, i: int, j: int) -> complex:
     """Normalized <A_ij> for any index pair (diagonal included)."""
-    f = _Frame(sp)
-    return _a(f, i, j) / f.kernel_checked()
+    return _a(sp, i, j) / sp._kernel_checked()
 
 
 def expect_a_product(sp: SacsPoint, i: int, j: int, k: int, l: int) -> complex:
     """Normalized <A_ij A_kl>."""
-    f = _Frame(sp)
-    return _a_product(f, i, j, k, l) / f.kernel_checked()
+    return _a_product(sp, i, j, k, l) / sp._kernel_checked()
 
 
 def expect_photon_moments(sp: SacsPoint) -> tuple[float, float]:
     """Normalized <a'a> and <(a'a)^2> = <a'^2 a^2> + <a'a>."""
-    f = _Frame(sp)
-    kr = f.kernel_checked()
-    first = _photons(f)
-    return first / kr, (f.term(f.alpha_sq**2, 1, 0) + first) / kr
+    kr = sp._kernel_checked()
+    first = _photons(sp)
+    return first / kr, (sp._term(sp.alpha_sq**2, 1, 0) + first) / kr
 
 
 def expect_photon_population_product(sp: SacsPoint, i: int) -> float:
     """Normalized <a'a A_ii>."""
-    f = _Frame(sp)
-    kr = f.kernel_checked()
-    return f.term(f.alpha_sq * f.n * abs(f.gamma(i)) ** 2 / f.g, -f.parity(i), 1) / kr
+    direct = sp.alpha_sq * sp.n_atoms * abs(sp._gamma(i)) ** 2 / sp.g
+    return sp._term(direct, -sp._parity(i), 1) / sp._kernel_checked()
 
 
 class InteractionPair(NamedTuple):
@@ -216,12 +200,11 @@ def expect_interaction(sp: SacsPoint) -> dict[tuple[int, int], InteractionPair]:
     <A_ij a'> is the conjugate of <A_ji a>, so the dipole is
     2 Re(<A_ij a> + <A_ji a>).
     """
-    f = _Frame(sp)
-    kr = f.kernel_checked()
+    kr = sp._kernel_checked()
     out = {}
     for i, j in sp.config.allowed_pairs:
-        a_ij_a = _a_field(f, i, j)
-        dipole = 2.0 * (a_ij_a + _a_field(f, j, i)).real
+        a_ij_a = _a_field(sp, i, j)
+        dipole = 2.0 * (a_ij_a + _a_field(sp, j, i)).real
         out[(i, j)] = InteractionPair(a_ij_a=a_ij_a / kr, dipole=dipole / kr)
     return out
 
@@ -246,7 +229,7 @@ class MMoments:
 def expect_m_moments(sp: SacsPoint) -> MMoments:
     """Moments of the total excitation M = a'a + lambda2 A_22 + lambda3 A_33."""
     mean, second = expect_photon_moments(sp)
-    l2, l3 = excitation_weights(sp.config)
+    _, l2, l3 = sp.lam
     for i, w in ((2, l2), (3, l3)):
         if w == 0:
             continue
@@ -270,14 +253,13 @@ def sacs_energy(params: ModelParams, sp: SacsPoint) -> float:
         raise ValueError("configuration mismatch between params and state")
     if params.n_atoms != sp.n_atoms:
         raise ValueError("atom-number mismatch between params and state")
-    f = _Frame(sp)
-    kr = f.kernel_checked()
-    num = params.omega * _photons(f)
+    kr = sp._kernel_checked()
+    num = params.omega * _photons(sp)
     for i, w in zip((1, 2, 3), params.level_energies):
-        num += w * _a(f, i, i).real
-    root_n = math.sqrt(f.n)
+        num += w * _a(sp, i, i).real
+    root_n = math.sqrt(sp.n_atoms)
     for i, j in params.config.allowed_pairs:
-        pair = _a_field(f, j, i) if params.rwa else _a_field(f, j, i) + _a_field(f, i, j)
+        pair = _a_field(sp, j, i) if params.rwa else _a_field(sp, j, i) + _a_field(sp, i, j)
         num -= params.coupling(i, j) / root_n * 2.0 * pair.real
     return num / kr
 
@@ -288,16 +270,15 @@ def reduced_density_matrix(sp: SacsPoint) -> np.ndarray:
     Basis: symmetric occupations (n1, n2, n3), lexicographic in (n2, n3),
     matching the exact-diagonalization layout.
     """
-    f = _Frame(sp)
-    kr = f.kernel_checked()
+    kr = sp._kernel_checked()
     occs = symmetric_occupations(sp.n_atoms)
-    l2, l3 = excitation_weights(sp.config)
+    _, l2, l3 = sp.lam
     n_fact = math.factorial(sp.n_atoms)
     g2, g3 = sp.point.gamma2, sp.point.gamma3
 
     amps = np.empty(len(occs), dtype=complex)
     signs = np.empty(len(occs), dtype=int)
-    root_norm = f.g ** (sp.n_atoms / 2.0)
+    root_norm = sp.g ** (sp.n_atoms / 2.0)
     for idx, (n1, n2, n3) in enumerate(occs):
         coeff = math.sqrt(
             n_fact / (math.factorial(n1) * math.factorial(n2) * math.factorial(n3))
@@ -306,7 +287,7 @@ def reduced_density_matrix(sp: SacsPoint) -> np.ndarray:
         signs[idx] = (-1) ** (l2 * n2 + l3 * n3)
 
     same_parity = signs[:, None] == signs[None, :]
-    weights = 2.0 * (1.0 + f.sigma * signs * f.s)
+    weights = 2.0 * (1.0 + sp.sigma * signs * sp.s)
     return (weights * amps)[:, None] * amps.conjugate()[None, :] * same_parity / kr
 
 
@@ -374,8 +355,9 @@ def photon_distribution(
     if _at_origin(point):
         p1 = _origin_limit(params, branch).one_body.n_photons
         return np.select([nus == 0, nus == 1], [1.0 - p1, p1])
-    f = _Frame(SacsPoint(point, branch, params.config, params.n_atoms))
+    sp = SacsPoint(point, branch, params.config, params.n_atoms)
+    n = sp.n_atoms
     # t^N - 1 without cancellation, so 1 - t^N stays accurate near t = 1.
-    tn_minus_one = math.expm1(f.n * f._log_t) if f._log_t is not None else f.t**f.n - 1.0
-    numerator = np.where(f.sigma * (-1) ** nus > 0, 2.0 + tn_minus_one, -tn_minus_one)
-    return poisson_distribution(f.alpha_sq, nus) * numerator / (0.5 * f.kernel_checked())
+    tn_minus_one = math.expm1(n * sp.log_t) if sp.log_t is not None else sp.t**n - 1.0
+    numerator = np.where(sp.sigma * (-1) ** nus > 0, 2.0 + tn_minus_one, -tn_minus_one)
+    return poisson_distribution(sp.alpha_sq, nus) * numerator / (0.5 * sp._kernel_checked())

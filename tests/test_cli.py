@@ -16,7 +16,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tricavity import cli, fock, surface
+from tricavity import cli, fock, sacs, surface
+from tricavity.errors import DegenerateState
+from tricavity.model import ParityBranch
 
 CMD = [sys.executable, "-m", "tricavity.cli"]
 
@@ -212,6 +214,31 @@ class TestSweep:
             _, header, rows = parse_csv(proc.stdout)
             assert rows[0][header.index("exact_q_m")] == na
             assert column(header, rows, "odd_q_m") == [-1.0]
+
+    def test_degenerate_branch_prints_na_cells(self, monkeypatch):
+        # A branch whose SACS has zero norm leaves its cells indeterminate;
+        # the other approximations of the row still print numbers.
+        evaluate = sacs.branch_observables
+
+        def odd_degenerate(params, point, branch):
+            if branch is ParityBranch.ODD:
+                raise DegenerateState("odd SACS has zero norm at this point")
+            return evaluate(params, point, branch)
+
+        monkeypatch.setattr(sacs, "branch_observables", odd_degenerate)
+        args = (
+            "sweep", "--mu", "1.2:1.6:3", "--branch", "coherent,even,odd",
+            "--outputs", ",".join(cli.OUTPUT_GROUPS),
+        )
+        for na, flags in (("NA", ()), ("X", ("--na", "X"))):
+            _, header, rows = parse_csv(run_cli(*args, *flags).stdout)
+            assert "odd_energy" in header and len(rows) == 3
+            for k, name in enumerate(header[1:], start=1):
+                cells = [row[k] for row in rows]
+                if name.startswith("odd_"):
+                    assert cells == [na] * 3, name
+                else:
+                    assert all(math.isfinite(float(cell)) for cell in cells), name
 
     def test_log_grid(self):
         proc = run_cli(

@@ -1,4 +1,4 @@
-"""Every public name of the package is mentioned somewhere in it besides its definition.
+"""Every name the package defines is mentioned somewhere in it besides its definition.
 
 A cheap lint against dead helpers: it counts word mentions across
 ``src/tricavity`` (leaving out ``__init__.py``, whose imports and ``__all__``
@@ -18,6 +18,28 @@ ALLOWED = {
 }
 
 
+def _sources() -> dict[str, str]:
+    sources = {
+        path.stem: path.read_text()
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert "fock" in sources
+    return sources
+
+
+def _unmentioned(sources: dict[str, str], definitions) -> list[str]:
+    """Qualified names among ``definitions(module tree)`` mentioned only once."""
+    unmentioned = []
+    for module, text in sources.items():
+        for qualname, name in definitions(ast.parse(text)):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            mentions = sum(len(word.findall(other)) for other in sources.values())
+            if mentions < 2 and f"{module}.{qualname}" not in ALLOWED:
+                unmentioned.append(f"{module}.{qualname}")
+    return unmentioned
+
+
 def _public_definitions(tree: ast.Module):
     """(qualified name, bare name) of public top-level functions, classes and methods."""
     for node in tree.body:
@@ -29,18 +51,26 @@ def _public_definitions(tree: ast.Module):
                         yield f"{node.name}.{item.name}", item.name
 
 
+def _private_definitions(tree: ast.Module):
+    """(name, name) of private top-level functions, classes and constants, dunders excluded."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, name
+
+
 def test_every_public_name_is_mentioned_besides_its_definition():
-    sources = {
-        path.stem: path.read_text()
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
-    }
-    assert "fock" in sources
-    unmentioned = []
-    for module, text in sources.items():
-        for qualname, name in _public_definitions(ast.parse(text)):
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            mentions = sum(len(word.findall(other)) for other in sources.values())
-            if mentions < 2 and f"{module}.{qualname}" not in ALLOWED:
-                unmentioned.append(f"{module}.{qualname}")
-    assert unmentioned == []
+    assert _unmentioned(_sources(), _public_definitions) == []
+
+
+def test_every_private_name_is_mentioned_besides_its_definition():
+    sources = _sources()
+    assert "_csr" in {name for name, _ in _private_definitions(ast.parse(sources["fock"]))}
+    assert _unmentioned(sources, _private_definitions) == []

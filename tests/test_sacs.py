@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tricavity import sacs
 from tricavity.errors import DegenerateState, IndeterminateQ
 from tricavity.model import (
     AtomicConfiguration,
@@ -214,3 +215,20 @@ class TestMomentsAndEntropy:
                 for b in BRANCHES
             )
             assert abs(total - 4.0) < 1e-10
+
+
+def test_branch_observables_derives_the_weights_once(monkeypatch):
+    # The state derives its scalars when it is built; no closed form that
+    # branch_observables evaluates on it derives them again.
+    weights, calls = sacs.excitation_weights, []
+
+    def counted(config):
+        calls.append(config)
+        return weights(config)
+
+    monkeypatch.setattr(sacs, "excitation_weights", counted)
+    config = AtomicConfiguration.XI  # weights 1 and 2: every M-moment term runs
+    params = random_params(np.random.default_rng(271), config, 3)
+    point = CoherentPoint(0.8 + 0.3j, 0.5 - 0.2j, 0.4 + 0.1j)
+    sacs.branch_observables(params, point, ParityBranch.ODD)
+    assert calls == [config]
