@@ -36,7 +36,6 @@ from .model import (
     StateObservables,
     excitation_weights,
     mandel_q,
-    symmetric_occupations,
 )
 from .surface import ORIGIN_RADIUS
 
@@ -53,7 +52,8 @@ class SacsPoint:
     sigma (the branch sign), lam = (0, lambda2, lambda3), g = gamma*.gamma,
     t = gt/g with gt = gamma*.gamma~ (real, possibly negative),
     alpha_sq = |alpha|^2, s = exp(-2 |alpha|^2) and log_t = log t (None
-    unless t > 0), so that u_k = s t^(N-k).
+    unless t > 0), so that u_k = s t^(N-k); then kernel = 2 (1 + sigma u_0),
+    the norm squared over exp(|alpha|^2) g^N.
     """
 
     point: CoherentPoint
@@ -76,10 +76,11 @@ class SacsPoint:
             sigma=self.branch.sign, lam=(0, l2, l3), g=g, t=t, alpha_sq=alpha_sq,
             s=math.exp(-2.0 * alpha_sq), log_t=math.log1p(delta / g) if t > 0.0 else None,
         )
+        vars(self)["kernel"] = self._term(1.0, 1, 0)
 
     def norm_squared(self) -> float:
         """Actual (unreduced) norm of the unnormalized superposition."""
-        return self._kernel() * math.exp(self.alpha_sq) * self.g**self.n_atoms
+        return self.kernel * math.exp(self.alpha_sq) * self.g**self.n_atoms
 
     def _one_plus(self, sign: int, k: int) -> float:
         """1 + sign * u_k (k <= N), accurate when u_k -> 1 cancels against sign = -1."""
@@ -97,14 +98,10 @@ class SacsPoint:
         """
         return 2.0 * direct * self._one_plus(self.sigma * parity, k)
 
-    def _kernel(self) -> float:
-        return self._term(1.0, 1, 0)
-
     def _kernel_checked(self) -> float:
-        kr = self._kernel()
-        if kr <= _DEGENERACY_FLOOR:
+        if self.kernel <= _DEGENERACY_FLOOR:
             raise DegenerateState(f"{self.branch.name.lower()} SACS has zero norm at this point")
-        return kr
+        return self.kernel
 
     def _gamma(self, i: int) -> complex:
         return self.point.gammas[i - 1]
@@ -156,7 +153,7 @@ def _a_field(sp: SacsPoint, i: int, j: int) -> complex:
 
 def kernel_reduced(sp: SacsPoint) -> float:
     """Norm squared divided by exp(|alpha|^2) (gamma*.gamma)^N."""
-    return sp._kernel()
+    return sp.kernel
 
 
 def expect_one_body(sp: SacsPoint) -> OneBodyExpectations:
@@ -264,36 +261,24 @@ def sacs_energy(params: ModelParams, sp: SacsPoint) -> float:
     return num / kr
 
 
-def reduced_density_matrix(sp: SacsPoint) -> np.ndarray:
-    """Trace the field out of the normalized SACS projector.
-
-    Basis: symmetric occupations (n1, n2, n3), lexicographic in (n2, n3),
-    matching the exact-diagonalization layout.
-    """
-    kr = sp._kernel_checked()
-    occs = symmetric_occupations(sp.n_atoms)
-    _, l2, l3 = sp.lam
-    n_fact = math.factorial(sp.n_atoms)
-    g2, g3 = sp.point.gamma2, sp.point.gamma3
-
-    amps = np.empty(len(occs), dtype=complex)
-    signs = np.empty(len(occs), dtype=int)
-    root_norm = sp.g ** (sp.n_atoms / 2.0)
-    for idx, (n1, n2, n3) in enumerate(occs):
-        coeff = math.sqrt(
-            n_fact / (math.factorial(n1) * math.factorial(n2) * math.factorial(n3))
-        )
-        amps[idx] = coeff * g2**n2 * g3**n3 / root_norm
-        signs[idx] = (-1) ** (l2 * n2 + l3 * n3)
-
-    same_parity = signs[:, None] == signs[None, :]
-    weights = 2.0 * (1.0 + sp.sigma * signs * sp.s)
-    return (weights * amps)[:, None] * amps.conjugate()[None, :] * same_parity / kr
+def _tn_minus_one(sp: SacsPoint) -> float:
+    # t^N - 1 without cancellation, so 1 - t^N stays accurate near t = 1.
+    return math.expm1(sp.n_atoms * sp.log_t) if sp.log_t is not None else sp.t**sp.n_atoms - 1.0
 
 
 def linear_entropy(sp: SacsPoint) -> float:
-    """1 - tr(rho^2) of the matter reduced density matrix."""
-    return 1.0 - float(np.sum(np.abs(reduced_density_matrix(sp)) ** 2))
+    """1 - tr(rho^2) of the matter reduced density matrix, in closed form.
+
+    Tracing the field out leaves the atomic product state split by the
+    parity of its excitation weight: the even half, of norm (1 + t^N)/2,
+    carries 1 + sigma s and the odd half, of norm (1 - t^N)/2, 1 - sigma s.
+    With A = (1 + sigma s)(1 + t^N), B = (1 - sigma s)(1 - t^N) and the
+    kernel K = A + B, 1 - tr(rho^2) = 2AB/K^2.
+    """
+    tn_minus_one = _tn_minus_one(sp)
+    a = sp._one_plus(sp.sigma, sp.n_atoms) * (2.0 + tn_minus_one)
+    b = sp._one_plus(-sp.sigma, sp.n_atoms) * -tn_minus_one
+    return 2.0 * a * b / sp._kernel_checked() ** 2
 
 
 def _at_origin(point: CoherentPoint) -> bool:
@@ -356,8 +341,6 @@ def photon_distribution(
         p1 = _origin_limit(params, branch).one_body.n_photons
         return np.select([nus == 0, nus == 1], [1.0 - p1, p1])
     sp = SacsPoint(point, branch, params.config, params.n_atoms)
-    n = sp.n_atoms
-    # t^N - 1 without cancellation, so 1 - t^N stays accurate near t = 1.
-    tn_minus_one = math.expm1(n * sp.log_t) if sp.log_t is not None else sp.t**n - 1.0
+    tn_minus_one = _tn_minus_one(sp)
     numerator = np.where(sp.sigma * (-1) ** nus > 0, 2.0 + tn_minus_one, -tn_minus_one)
     return poisson_distribution(sp.alpha_sq, nus) * numerator / (0.5 * sp._kernel_checked())

@@ -218,13 +218,17 @@ def _newton_finish(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Newton steps on the analytic gradient while it keeps shrinking.
 
     L-BFGS-B stops ~1e-8 short in the coordinates; two or three Newton
-    steps reach the stationary point to rounding.
+    steps reach the stationary point to rounding. A Hessian that is
+    singular to rounding (at a critical coupling) keeps the polished point.
     """
     grad, hess = _profile_derivatives(params, x)
     for _ in range(4):
         if np.linalg.eigvalsh(hess)[0] <= 0.0:
             break
-        trial = np.maximum(x - np.linalg.solve(hess, grad), 0.0)
+        try:
+            trial = np.maximum(x - np.linalg.solve(hess, grad), 0.0)
+        except np.linalg.LinAlgError:
+            break
         trial_grad, trial_hess = _profile_derivatives(params, trial)
         if not np.linalg.norm(trial_grad) < np.linalg.norm(grad):
             break
@@ -249,7 +253,7 @@ def minimize_surface(params: ModelParams) -> CriticalPoint:
     the same point found. NonConvergence is raised again, never cached.
     """
     mu_max = max(params.mu12, params.mu13, params.mu23)
-    bound = max(4.0, 4.0 * math.sqrt(params.n_atoms) * mu_max / params.omega)
+    bound = max(4.0, 4.0 * mu_max / params.omega)
     axis = np.linspace(0.0, bound, 64)
     lattice = _profile(params, axis[:, None], axis[None, :])
     starts = [axis[site] for site in _lattice_minima(lattice)]

@@ -230,11 +230,13 @@ def mandel_q_m(vp: VParams, approx: Approximation) -> float | None:
 
 
 def linear_entropy_v(vp: VParams, approx: Approximation) -> float:
-    """Printed-form matter linear entropy (fixed scaling).
+    """Printed-form matter linear entropy (fixed scaling), kept verbatim.
 
-    Informational for the parity branches: the printed expression does not
-    match the direct partial trace (`sacs.linear_entropy`); `checks` reports
-    the comparison. The coherent approximation is a product state, so 0.
+    (1 - A)(1 - B) / (2 (1 +- C)^2) with A = exp(4 nu_bar) = 1/s^2 and
+    B = (2 mu)^(4N) = t^(-2N). With C's exponent N(8 mu^4 - 1)/(4 mu^2) read
+    as N(16 mu^4 - 1)/(8 mu^2), C = (2 mu)^(2N) exp(2 nu_bar) = 1/(s t^N), it
+    would equal `sacs.linear_entropy` exactly; as printed it does not, and
+    `checks` reports the comparison. A coherent product state gives 0.
     """
     if approx is Approximation.COHERENT:
         return 0.0

@@ -1,4 +1,7 @@
-"""The oracle-equivalence check: its amplitude-matrix route, its teeth, its cost."""
+"""The oracle-equivalence check: its amplitude-matrix route, its teeth, its cost.
+
+The entropy check against the partial-trace oracle has teeth too.
+"""
 
 import dataclasses
 import itertools
@@ -109,6 +112,18 @@ class TestOracleCheckTeeth:
         )
         assert not result.passed
         assert result.max_dev > 1e-10
+
+
+def test_rdm_check_fails_on_a_relative_entropy_perturbation(monkeypatch):
+    def run():
+        return checks.check_rdm_consistency(np.random.default_rng(20240817), checks.LEVELS["fast"])
+
+    assert run().passed
+    original = sacs.linear_entropy
+    monkeypatch.setattr(sacs, "linear_entropy", lambda sp: _perturbed(original(sp)))
+    result = run()
+    assert not result.passed
+    assert result.max_dev > 1e-10
 
 
 class TestOracleCheckCost:

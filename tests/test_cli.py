@@ -263,6 +263,32 @@ class TestSweep:
         run_cli("sweep", "--mu", "0.5:1.5:3", "--branch", "coherent,even,odd,exact")
         assert len(line_searches) == 3
 
+    def test_critical_coupling_keeps_the_polished_point(self):
+        # At mu_c the profile Hessian is singular to rounding; the Newton
+        # finish stops there instead of failing the row.
+        run_cli("sweep", "--mu", "0.5", "--theta", "0.7755578947368421", "--n-atoms", "1",
+                "--branch", "coherent")
+
+    def test_lattice_finds_the_first_order_minimum_at_large_n(self):
+        # The profile is N times a function of the atomic radii, so its
+        # minimum per atom does not depend on N.
+        proc = run_cli("sweep", "--atom-config", "lambda", "--theta", "1.05", "--mu", "1.0",
+                       "--n-atoms", "1,10000", "--branch", "coherent", "--outputs", "energy")
+        _, header, rows = parse_csv(proc.stdout)
+        one, many = column(header, rows, "coherent_energy")
+        assert one < -0.2 and abs(many - one) < 1e-12
+
+    def test_parity_branch_entropies_at_large_n(self, monkeypatch):
+        # The closed-form entropy never enumerates the (N+1)(N+2)/2 occupations.
+        def refuse(n_atoms):
+            raise AssertionError(f"enumerated the occupations of {n_atoms} atoms")
+
+        monkeypatch.setattr(sacs, "symmetric_occupations", refuse, raising=False)
+        proc = run_cli("sweep", "--mu", "1.5", "--n-atoms", "100000", "--branch", "even,odd")
+        _, header, rows = parse_csv(proc.stdout)
+        for name in ("even_entropy", "odd_entropy"):
+            assert abs(column(header, rows, name)[0] - 0.5) < 1e-12
+
     def test_two_grids_rejected(self):
         run_cli("sweep", "--mu", "0:1:3", "--theta", "0:1:3", expect=2)
 

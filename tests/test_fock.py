@@ -859,15 +859,3 @@ class TestSacsVectorOracle:
             closed = sacs.sacs_energy(p, sp)
             oracle = vec.expectation(h).real
             assert abs(closed - oracle) < 1e-10 * max(1.0, abs(oracle))
-
-    def test_reduced_density_matrix_matches_partial_trace(self):
-        rng = np.random.default_rng(353)
-        for _ in range(12):
-            config = CONFIGS[rng.integers(len(CONFIGS))]
-            n = int(rng.integers(1, 4))
-            sp = random_sacs_point(rng, config, n, BRANCHES[rng.integers(2)])
-            space = fock.TruncatedSpace(n, 40)
-            vec = fock.build_sacs_vector(sp.point, sp.branch, sp.config, space)
-            closed = sacs.reduced_density_matrix(sp)
-            oracle = vec.atomic_density_matrix()
-            assert np.abs(closed - oracle).max() < 1e-10

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tricavity import sacs
+from tricavity import fock, sacs
 from tricavity.errors import DegenerateState, IndeterminateQ
 from tricavity.model import (
     AtomicConfiguration,
@@ -22,7 +22,6 @@ from tricavity.sacs import (
     expect_photon_moments,
     kernel_reduced,
     linear_entropy,
-    reduced_density_matrix,
     sacs_energy,
 )
 from tricavity.surface import energy
@@ -180,27 +179,17 @@ class TestMomentsAndEntropy:
         with pytest.raises(DegenerateState):
             expect_one_body(sp)
 
-    def test_density_matrix_is_a_state(self):
-        rng = np.random.default_rng(257)
-        for _ in range(30):
-            config = CONFIGS[rng.integers(len(CONFIGS))]
-            n = int(rng.integers(1, 6))
-            sp = random_sacs_point(rng, config, n, BRANCHES[rng.integers(2)])
-            rho = reduced_density_matrix(sp)
-            assert abs(np.trace(rho) - 1.0) < 1e-12
-            assert np.allclose(rho, rho.conj().T, atol=1e-12)
-            eigs = np.linalg.eigvalsh(rho)
-            assert eigs.min() > -1e-12
-
-    def test_linear_entropy_matches_purity(self):
+    @pytest.mark.parametrize("scale", (1.2, 0.05))
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("branch", BRANCHES)
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_linear_entropy_matches_the_oracle_partial_trace(self, config, branch, n, scale):
         rng = np.random.default_rng(263)
-        for _ in range(30):
-            config = CONFIGS[rng.integers(len(CONFIGS))]
-            sp = random_sacs_point(rng, config, int(rng.integers(1, 6)), BRANCHES[rng.integers(2)])
-            rho = reduced_density_matrix(sp)
-            direct = 1.0 - float(np.sum(np.abs(rho) ** 2))
-            assert abs(linear_entropy(sp) - direct) < 1e-10
-            assert -1e-12 <= linear_entropy(sp) <= 1.0
+        for _ in range(4):
+            sp = random_sacs_point(rng, config, n, branch, scale)
+            space = fock.TruncatedSpace(n, fock.suggested_nu_max(sp.point.alpha))
+            rho = fock.build_sacs_vector(sp.point, branch, config, space).atomic_density_matrix()
+            assert abs(linear_entropy(sp) - (1.0 - float(np.sum(np.abs(rho) ** 2)))) < 1e-10
 
     def test_kernel_reduced_is_real_symmetric_in_branch(self):
         # k+- (branch-dependent reduced kernel) obeys k+ + k- = 4 by the
@@ -232,3 +221,19 @@ def test_branch_observables_derives_the_weights_once(monkeypatch):
     point = CoherentPoint(0.8 + 0.3j, 0.5 - 0.2j, 0.4 + 0.1j)
     sacs.branch_observables(params, point, ParityBranch.ODD)
     assert calls == [config]
+
+
+def test_branch_observables_derives_the_kernel_once(monkeypatch):
+    # The reduced kernel is a scalar of the state: built with it, read after.
+    term, kernels = sacs.SacsPoint._term, []
+
+    def counted(self, direct, parity, k):
+        if (direct, parity, k) == (1.0, 1, 0):
+            kernels.append(self)
+        return term(self, direct, parity, k)
+
+    monkeypatch.setattr(sacs.SacsPoint, "_term", counted)
+    params = random_params(np.random.default_rng(271), AtomicConfiguration.XI, 3)
+    point = CoherentPoint(0.8 + 0.3j, 0.5 - 0.2j, 0.4 + 0.1j)
+    sacs.branch_observables(params, point, ParityBranch.ODD)
+    assert len(kernels) == 1
