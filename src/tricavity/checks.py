@@ -21,7 +21,6 @@ from .model import (
     ModelParams,
     ParityBranch,
     couplings_from_magnitude,
-    symmetric_occupations,
 )
 
 CONFIGS = (
@@ -110,7 +109,7 @@ def _sacs_case(rng: np.random.Generator, level: CheckLevel):
         params = random_params(rng, config, n_atoms, rwa=bool(rng.integers(2)))
         point = random_point(rng)
         sp = sacs.SacsPoint(point=point, branch=branch, config=config, n_atoms=n_atoms)
-        if abs(sacs.kernel_reduced(sp)) > 1e-8:
+        if abs(sp.kernel) > 1e-8:
             return params, sp
 
 
@@ -205,15 +204,9 @@ def check_sacs_casimir(rng: np.random.Generator, level: CheckLevel) -> CheckResu
 
 
 def _atomic_tables(n_atoms: int) -> dict[tuple[int, int], np.ndarray]:
-    """Dense d x d matrices of all nine A_ij, from the entries H is assembled from."""
-    d = len(symmetric_occupations(n_atoms))
-    tables = {}
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            rows, cols, amps = fock._atomic_entries(n_atoms, i, j)
-            tables[i, j] = np.zeros((d, d))
-            tables[i, j][rows, cols] = amps
-    return tables
+    """Dense d x d matrices of all nine A_ij: the oracle's on the photon vacuum."""
+    space = fock.TruncatedSpace(n_atoms, 0)
+    return {(i, j): fock.transition(space, i, j).toarray() for i in (1, 2, 3) for j in (1, 2, 3)}
 
 
 def _direct_expectations(
@@ -339,8 +332,7 @@ def check_parity_decomposition(rng: np.random.Generator, level: CheckLevel) -> C
         params, sp = _sacs_case(rng, level)
         even = sacs.SacsPoint(sp.point, ParityBranch.EVEN, sp.config, sp.n_atoms)
         odd = sacs.SacsPoint(sp.point, ParityBranch.ODD, sp.config, sp.n_atoms)
-        k_even = sacs.kernel_reduced(even)
-        k_odd = sacs.kernel_reduced(odd)
+        k_even, k_odd = even.kernel, odd.kernel
         if min(k_even, k_odd) < 1e-8:
             continue
         e_even = sacs.sacs_energy(params, even)

@@ -185,8 +185,8 @@ def _exact_columns(params: ModelParams, nu_max: int | None) -> dict:
 
 
 def _evaluate_point(task):
-    """One grid point -> (label, row dict) or raises TricavityError."""
-    label, value, params, approxes, outputs, nu_max = task
+    """One grid point -> (label, value, every column of each treatment) or raises."""
+    label, value, params, approxes, nu_max = task
     row = {}
     need_surface = any(a in approxes for a in ("coherent", "even", "odd"))
     crit = surface.minimize_surface(params) if need_surface else None
@@ -198,10 +198,7 @@ def _evaluate_point(task):
             cols = _sacs_columns(params, crit, ParityBranch[approx.upper()])
         else:
             cols = _exact_columns(params, nu_max)
-            row["exact_parity"] = cols["parity"]
-        for group in outputs:
-            for key in OUTPUT_GROUPS[group]:
-                row[f"{approx}_{key}"] = cols[key]
+        row.update((f"{approx}_{key}", cell) for key, cell in cols.items())
     return label, value, row
 
 
@@ -294,9 +291,7 @@ def cmd_sweep(args, parser) -> int:
             for mu in mu_axis:
                 value = {"mu": mu, "theta": theta, "n_atoms": n_atoms}[grid_var]
                 params = _make_params(args, mu, theta, n_atoms)
-                tasks.append(
-                    (grid_var, value, params, approxes, outputs, args.nu_max)
-                )
+                tasks.append((grid_var, value, params, approxes, args.nu_max))
 
     columns = [grid_var]
     for approx in approxes:

@@ -346,24 +346,22 @@ def build_sacs_vector(
             f"weight {tail:.3e} above nu_max={space.nu_max} for |alpha|^2="
             f"{abs(point.alpha) ** 2:.3f}"
         )
-    l2, l3 = excitation_weights(config)
     n_fact = math.factorial(space.n_atoms)
     atom_amp = np.empty(space.atomic_dimension, dtype=complex)
-    atom_sign = np.empty(space.atomic_dimension, dtype=int)
     for k, (n1, n2, n3) in enumerate(space.occupations):
         coeff = math.sqrt(
             n_fact / (math.factorial(n1) * math.factorial(n2) * math.factorial(n3))
         )
         atom_amp[k] = coeff * point.gamma2**n2 * point.gamma3**n3
-        atom_sign[k] = (-1) ** (l2 * n2 + l3 * n3)
 
     field_amp = np.empty(space.nu_max + 1, dtype=complex)
     field_amp[0] = 1.0
     for nu in range(1, space.nu_max + 1):
         field_amp[nu] = field_amp[nu - 1] * point.alpha / math.sqrt(nu)
-    field_sign = 1 - 2 * (np.arange(space.nu_max + 1) % 2)
 
-    combo = 1.0 + branch.sign * np.outer(field_sign, atom_sign)
+    # The image under exp(i pi M) carries the parity of each basis state.
+    signs = 1 - 2 * (m_diagonal(space, config) % 2)
+    combo = 1.0 + branch.sign * signs.reshape(space.nu_max + 1, space.atomic_dimension)
     psi = np.outer(field_amp, atom_amp) * combo
     return StateVector(space=space, data=psi.ravel())
 

@@ -151,11 +151,6 @@ def _a_field(sp: SacsPoint, i: int, j: int) -> complex:
     return sp._term(direct, sp._parity(i), 1)
 
 
-def kernel_reduced(sp: SacsPoint) -> float:
-    """Norm squared divided by exp(|alpha|^2) (gamma*.gamma)^N."""
-    return sp.kernel
-
-
 def expect_one_body(sp: SacsPoint) -> OneBodyExpectations:
     """Normalized <A_11>, <A_22>, <A_33>, <a'a>."""
     kr = sp._kernel_checked()
@@ -225,7 +220,11 @@ class MMoments:
 
 def expect_m_moments(sp: SacsPoint) -> MMoments:
     """Moments of the total excitation M = a'a + lambda2 A_22 + lambda3 A_33."""
-    mean, second = expect_photon_moments(sp)
+    return _m_moments(sp, *expect_photon_moments(sp))
+
+
+def _m_moments(sp: SacsPoint, mean: float, second: float) -> MMoments:
+    """`expect_m_moments` from the photon moments <a'a>, <(a'a)^2> already evaluated."""
     _, l2, l3 = sp.lam
     for i, w in ((2, l2), (3, l3)):
         if w == 0:
@@ -317,7 +316,7 @@ def branch_observables(
         return _origin_limit(params, branch)
     sp = SacsPoint(point, branch, params.config, params.n_atoms)
     first, second = expect_photon_moments(sp)
-    mom = expect_m_moments(sp)
+    mom = _m_moments(sp, first, second)
     return StateObservables(
         sacs_energy(params, sp), expect_one_body(sp), second - first**2,
         mom.mean, mom.variance, mandel_q(mom.mean, mom.variance), linear_entropy(sp),

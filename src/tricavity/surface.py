@@ -123,22 +123,13 @@ def _interaction_factor(params: ModelParams) -> float:
     return 2.0 if params.rwa else 4.0
 
 
-def reduced_radial_energy(
-    params: ModelParams, rho: float, rho2: float, rho3: float
-) -> float:
-    """Surface after angle elimination.
+def reduced_radial_energy(params: ModelParams, rho: float, rho2: float, rho3: float) -> float:
+    """Surface after angle elimination: `energy_polar` with every phase at zero.
 
     For nonnegative couplings the optimal phases are zero (full Hamiltonian)
-    or equal up to an arbitrary overall phase (RWA); the two cases differ
-    only in the interaction prefactor (4 vs 2).
+    or equal up to an arbitrary overall phase (RWA).
     """
-    n = params.n_atoms
-    norm, diag, inter = _radial_terms(params, rho2, rho3)
-    factor = _interaction_factor(params)
-    return (
-        params.omega * rho**2
-        + (n * diag - factor * math.sqrt(n) * inter * rho) / norm
-    )
+    return energy_polar(params, rho, 0.0, rho2, 0.0, rho3, 0.0)
 
 
 @dataclass(frozen=True)

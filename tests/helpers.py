@@ -5,7 +5,7 @@ registry, so the tests and ``tricavity validate`` draw from one copy.
 """
 
 from tricavity.checks import CONFIGS, random_params, random_point  # noqa: F401
-from tricavity.sacs import SacsPoint, kernel_reduced
+from tricavity.sacs import SacsPoint
 
 
 def random_sacs_point(rng, config, n_atoms, branch, scale: float = 1.2) -> SacsPoint:
@@ -17,5 +17,5 @@ def random_sacs_point(rng, config, n_atoms, branch, scale: float = 1.2) -> SacsP
             config=config,
             n_atoms=n_atoms,
         )
-        if abs(kernel_reduced(sp)) > 1e-8:
+        if abs(sp.kernel) > 1e-8:
             return sp

@@ -811,6 +811,20 @@ class TestSacsVectorOracle:
         with pytest.raises(TailTooLarge):
             fock.build_sacs_vector(sp.point, sp.branch, sp.config, space)
 
+    @pytest.mark.parametrize("branch", BRANCHES)
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_sacs_vector_is_a_parity_eigenvector(self, config, branch):
+        # exp(i pi M) maps the SACS of a branch to its sign times itself,
+        # entry by entry: each basis state carries its own parity.
+        rng = np.random.default_rng(347)
+        for n in range(1, 5):
+            for _ in range(3):
+                sp = random_sacs_point(rng, config, n, branch)
+                space = fock.TruncatedSpace(n, fock.suggested_nu_max(sp.point.alpha))
+                vec = fock.build_sacs_vector(sp.point, branch, config, space)
+                image = fock.parity_operator(space, config) @ vec.data
+                assert np.array_equal(image, branch.sign * vec.data)
+
     def test_closed_forms_match_vector_expectations(self):
         rng = np.random.default_rng(337)
         for _ in range(24):

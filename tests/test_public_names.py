@@ -2,7 +2,8 @@
 
 A cheap lint against dead helpers: it counts word mentions across
 ``src/tricavity`` (leaving out ``__init__.py``, whose imports and ``__all__``
-would count every export), not calls.
+would count every export), not calls. A third lint keeps each module's
+private names its own.
 """
 
 import ast
@@ -74,3 +75,39 @@ def test_every_private_name_is_mentioned_besides_its_definition():
     sources = _sources()
     assert "_csr" in {name for name, _ in _private_definitions(ast.parse(sources["fock"]))}
     assert _unmentioned(sources, _private_definitions) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _cross_module_private_uses(module: str, tree: ast.Module) -> list[str]:
+    """``module -> other._name`` for each private name of a sibling module it names.
+
+    Siblings are the modules imported relatively; a private name is named as
+    ``other._name`` (through any alias) or by ``from .other import _name``.
+    """
+    siblings, uses = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    siblings[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    uses.append(f"{module} -> {node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+            and _private(node.attr)
+        ):
+            uses.append(f"{module} -> {siblings[node.value.id]}.{node.attr}")
+    return uses
+
+
+def test_no_module_names_another_modules_private_names():
+    uses = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        uses += _cross_module_private_uses(path.stem, ast.parse(path.read_text()))
+    assert uses == []

@@ -20,7 +20,6 @@ from tricavity.sacs import (
     expect_m_moments,
     expect_one_body,
     expect_photon_moments,
-    kernel_reduced,
     linear_entropy,
     sacs_energy,
 )
@@ -200,7 +199,7 @@ class TestMomentsAndEntropy:
             n = int(rng.integers(1, 6))
             pt = random_point(rng)
             total = sum(
-                kernel_reduced(SacsPoint(point=pt, branch=b, config=config, n_atoms=n))
+                SacsPoint(point=pt, branch=b, config=config, n_atoms=n).kernel
                 for b in BRANCHES
             )
             assert abs(total - 4.0) < 1e-10
@@ -237,3 +236,19 @@ def test_branch_observables_derives_the_kernel_once(monkeypatch):
     point = CoherentPoint(0.8 + 0.3j, 0.5 - 0.2j, 0.4 + 0.1j)
     sacs.branch_observables(params, point, ParityBranch.ODD)
     assert len(kernels) == 1
+
+
+def test_branch_observables_evaluates_the_photon_moments_once(monkeypatch):
+    # The M moments start from the photon moments branch_observables has
+    # already evaluated, instead of evaluating them again.
+    moments, calls = sacs.expect_photon_moments, []
+
+    def counted(sp):
+        calls.append(sp)
+        return moments(sp)
+
+    monkeypatch.setattr(sacs, "expect_photon_moments", counted)
+    params = random_params(np.random.default_rng(271), AtomicConfiguration.XI, 3)
+    point = CoherentPoint(0.8 + 0.3j, 0.5 - 0.2j, 0.4 + 0.1j)
+    sacs.branch_observables(params, point, ParityBranch.ODD)
+    assert len(calls) == 1
