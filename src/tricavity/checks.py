@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from scipy import sparse
@@ -203,14 +205,19 @@ def check_sacs_casimir(rng: np.random.Generator, level: CheckLevel) -> CheckResu
     )
 
 
-def _atomic_tables(n_atoms: int) -> dict[tuple[int, int], np.ndarray]:
-    """Dense d x d matrices of all nine A_ij: the oracle's on the photon vacuum."""
+@lru_cache(maxsize=8)
+def _atomic_tables(n_atoms: int) -> MappingProxyType:
+    """Dense d x d matrices of all nine A_ij, the oracle's on the photon vacuum:
+    built once per N and shared by every caller, so the mapping and arrays are read-only."""
     space = fock.TruncatedSpace(n_atoms, 0)
-    return {(i, j): fock.transition(space, i, j).toarray() for i in (1, 2, 3) for j in (1, 2, 3)}
+    tables = {(i, j): fock.transition(space, i, j).toarray() for i in (1, 2, 3) for j in (1, 2, 3)}
+    for table in tables.values():
+        table.flags.writeable = False
+    return MappingProxyType(tables)
 
 
 def _direct_expectations(
-    vec: fock.StateVector, tables: dict, config: AtomicConfiguration, prods
+    vec: fock.StateVector, tables: MappingProxyType, config: AtomicConfiguration, prods
 ) -> dict:
     """Direct side of the oracle check, contracted on the amplitude matrix of vec.
 
@@ -264,22 +271,19 @@ def check_oracle_equivalence(rng: np.random.Generator, level: CheckLevel) -> Che
     through the oracle's own `build_hamiltonian`.
     """
     worst = 0.0
-    tables = {}
     for _ in range(level.points):
         params, sp = _sacs_case(rng, level)
         point = sp.point
         n_atoms = sp.n_atoms
         space = fock.TruncatedSpace(n_atoms, fock.suggested_nu_max(point.alpha))
         vec = fock.build_sacs_vector(point, sp.branch, sp.config, space)
-        if n_atoms not in tables:
-            tables[n_atoms] = _atomic_tables(n_atoms)
         pairs = sp.config.allowed_pairs
         prods = []
         for _ in range(3):
             (i, j) = pairs[rng.integers(len(pairs))]
             (k, l) = pairs[rng.integers(len(pairs))]
             prods.append((i, j, k, l))
-        direct = _direct_expectations(vec, tables[n_atoms], sp.config, prods)
+        direct = _direct_expectations(vec, _atomic_tables(n_atoms), sp.config, prods)
 
         worst = max(worst, _rel_dev(vec.norm_squared(), sp.norm_squared()))
 

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 
 import numpy as np
 
@@ -484,6 +485,7 @@ def _add_nu_max(sub: argparse.ArgumentParser, default: int | None, help_text: st
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tricavity",

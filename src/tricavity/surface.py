@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .errors import NoTransitionFound, NonConvergence
 from .model import (
@@ -168,33 +168,35 @@ def _profile(params: ModelParams, rho2, rho3):
     return params.n_atoms * diag / norm - params.omega * _field_radius(params, rho2, rho3) ** 2
 
 
-def _profile_derivatives(params: ModelParams, x) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient and Hessian of the profile at x = (rho2, rho3).
+def _profile_derivatives(params: ModelParams, x):
+    """Analytic gradient and Hessian of the profile at x = (rho2, rho3), in floats.
 
     Both d/n and rho* are ratios X = u/n with n = 1 + |x|^2, for which
     X_k = (u_k - 2 x_k X)/n and X_kl = (u_kl - 2 d_kl X - 2 x_k X_l - 2 x_l X_k)/n.
+    Returns ((g2, g3), ((h22, h23), (h23, h33))).
     """
-    x = np.asarray(x, dtype=float)
-    norm, diag, inter = _radial_terms(params, x[0], x[1])
+    x2, x3 = float(x[0]), float(x[1])
+    norm, diag, inter = _radial_terms(params, x2, x3)
 
-    def ratio(u, du, ddu):
+    def ratio(u, u2, u3, u22, u23, u33):
         val = u / norm
-        grad = (du - 2.0 * x * val) / norm
-        cross = np.outer(x, grad)
-        return val, grad, (ddu - 2.0 * val * np.eye(2) - 2.0 * (cross + cross.T)) / norm
+        g2, g3 = (u2 - 2.0 * x2 * val) / norm, (u3 - 2.0 * x3 * val) / norm
+        h22, h33 = u22 - 2.0 * val - 4.0 * x2 * g2, u33 - 2.0 * val - 4.0 * x3 * g3
+        return val, g2, g3, h22 / norm, (u23 - 2.0 * (x2 * g3 + x3 * g2)) / norm, h33 / norm
 
-    w = np.array(params.level_energies[1:])
-    _, d_grad, d_hess = ratio(diag, 2.0 * w * x, 2.0 * np.diag(w))
+    _, w2, w3 = params.level_energies
+    _, d2, d3, d22, d23, d33 = ratio(diag, 2.0 * w2 * x2, 2.0 * w3 * x3, 2.0 * w2, 0.0, 2.0 * w3)
     k, mu23 = _field_scale(params), params.mu23
-    r, r_grad, r_hess = ratio(
-        k * inter,
-        k * np.array([params.mu12 + mu23 * x[1], params.mu13 + mu23 * x[0]]),
-        k * np.array([[0.0, mu23], [mu23, 0.0]]),
+    r, r2, r3, r22, r23, r33 = ratio(
+        k * inter, k * (params.mu12 + mu23 * x3), k * (params.mu13 + mu23 * x2), 0.0, k * mu23, 0.0
     )
-    n, omega = params.n_atoms, params.omega
-    grad = n * d_grad - 2.0 * omega * r * r_grad
-    hess = n * d_hess - 2.0 * omega * (np.outer(r_grad, r_grad) + r * r_hess)
-    return grad, hess
+    n, two_omega = params.n_atoms, 2.0 * params.omega
+    h23 = n * d23 - two_omega * (r2 * r3 + r * r23)
+    return (
+        (n * d2 - two_omega * r * r2, n * d3 - two_omega * r * r3),
+        ((n * d22 - two_omega * (r2 * r2 + r * r22), h23),
+         (h23, n * d33 - two_omega * (r3 * r3 + r * r33))),
+    )
 
 
 def _lattice_minima(values: np.ndarray) -> np.ndarray:
@@ -205,85 +207,92 @@ def _lattice_minima(values: np.ndarray) -> np.ndarray:
     return np.argwhere(values <= np.min(shifted, axis=0))
 
 
-def _newton_finish(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Newton steps on the analytic gradient while it keeps shrinking.
+def _soft_line_start(params: ModelParams, bound: float) -> tuple[float, float]:
+    """Closed-form profile minimum on x = t s, t in [0, bound], s the nonnegative
+    direction of slowest ascent from the origin. There the profile is
+    N(w1 + A t^2)/(1 + t^2) - Omega k^2 t^2 (B + C t)^2/(1 + t^2)^2 with
+    A = w2 s2^2 + w3 s3^2, B = mu12 s2 + mu13 s3, C = mu23 s2 s3; its slope is
+    2t/(1 + t^2)^3 times N(A - w1)(1 + t^2) - Omega k^2 (B + C t)(B + 2C t - B t^2),
+    so the minimum is at t = 0, t = bound or a real root of that cubic between."""
+    (a, b), (_, c) = _profile_derivatives(params, (0.0, 0.0))[1]
+    angle = 0.5 * math.atan2(2.0 * b, a - c)  # the stiffest axis; s is normal to it
+    s2, s3 = abs(math.sin(angle)), abs(math.cos(angle))
+    w1, w2, w3 = params.level_energies
+    lift = params.n_atoms * (w2 * s2**2 + w3 * s3**2 - w1)
+    pull = params.omega * _field_scale(params) ** 2
+    b, c = params.mu12 * s2 + params.mu13 * s3, params.mu23 * s2 * s3
+    roots = np.roots([pull * b * c, lift - pull * (2.0 * c * c - b * b), -3.0 * pull * b * c,
+                      lift - pull * b * b])
+    real = roots.real[np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots.real))]
+    ts = np.concatenate(([0.0, bound], real[(real > 0.0) & (real < bound)]))
+    t = ts[np.argmin(_profile(params, ts * s2, ts * s3))]
+    return t * s2, t * s3
 
-    L-BFGS-B stops ~1e-8 short in the coordinates; two or three Newton
-    steps reach the stationary point to rounding. A Hessian that is
-    singular to rounding (at a critical coupling) keeps the polished point.
+
+Polish = NamedTuple("Polish", [("x", tuple[float, float]), ("success", bool)])
+
+
+def minimize(params: ModelParams, x0) -> Polish:
+    """Projected Newton polish of the profile over x >= 0, from x0.
+
+    A coordinate at 0 whose gradient is >= 0 stays fixed. On the free ones
+    the step is Newton's where their Hessian is positive definite, steepest
+    descent elsewhere, halved until the trial lowers the profile or, within
+    its rounding, shrinks the projected gradient: the last steps to the
+    stationary point meet a profile flat to rounding. It stops when no step
+    is accepted; success is a projected gradient below 1e-5, as in L-BFGS-B.
     """
-    grad, hess = _profile_derivatives(params, x)
-    for _ in range(4):
-        if np.linalg.eigvalsh(hess)[0] <= 0.0:
-            break
-        try:
-            trial = np.maximum(x - np.linalg.solve(hess, grad), 0.0)
-        except np.linalg.LinAlgError:
-            break
-        trial_grad, trial_hess = _profile_derivatives(params, trial)
-        if not np.linalg.norm(trial_grad) < np.linalg.norm(grad):
-            break
-        x, grad, hess = trial, trial_grad, trial_hess
-    return x
+    def state(x):
+        (g2, g3), hess = _profile_derivatives(params, x)
+        grad = (0.0 if x[0] == 0.0 and g2 >= 0.0 else g2, 0.0 if x[1] == 0.0 and g3 >= 0.0 else g3)
+        return _profile(params, *x), max(map(abs, grad)), x, grad, hess
+
+    moved = state((max(float(x0[0]), 0.0), max(float(x0[1]), 0.0)))
+    for _ in range(100):  # from a lattice start a handful of steps suffice
+        value, slope, x, (g2, g3), ((a, b), (_, c)) = moved
+        if g2 == 0.0 and x[0] == 0.0:  # fixed coordinates drop out of the Newton system
+            a, b = 1.0, 0.0
+        if g3 == 0.0 and x[1] == 0.0:
+            b, c = 0.0, 1.0
+        det = a * c - b * b
+        step = (-g2, -g3)  # steepest descent unless the free Hessian is positive definite
+        if a > 0.0 and det > 0.0:
+            step = ((b * g3 - c * g2) / det, (b * g2 - a * g3) / det)
+        noise, scale = 1e-14 * max(1.0, abs(value)), 1.0
+        while (trial := (max(x[0] + scale * step[0], 0.0), max(x[1] + scale * step[1], 0.0))) != x:
+            new_value, new_slope, *_ = moved = state(trial)
+            if new_value < value - noise or (new_value <= value + noise and new_slope < slope):
+                break
+            scale *= 0.5
+        else:
+            return Polish(x, slope < 1e-5)
+    return Polish(moved[2], moved[1] < 1e-5)
 
 
 @lru_cache(maxsize=1)
 def minimize_surface(params: ModelParams) -> CriticalPoint:
     """Global minimum of the reduced radial surface over nonnegative radii.
 
-    The field radius is solved in closed form (`_field_radius`), which
-    leaves the 2-D profile over (rho2, rho3). Every discrete local minimum
-    of a 64x64 lattice over [0, R]^2 starts an L-BFGS-B polish with the
-    analytic gradient, finished by Newton steps. One more start comes from
-    a line search along the softest eigendirection of the origin Hessian:
-    just past a phase boundary the minimum sits at a radius far below the
-    lattice spacing. Ties are broken lexicographically.
-
-    The last result is cached, one entry so that memory stays flat: the
-    exact solve seeds its cutoff from the minimum a variational branch of
-    the same point found. NonConvergence is raised again, never cached.
+    With the field radius in closed form (`_field_radius`) the profile is a
+    function of (rho2, rho3). Each local minimum of a 64x64 lattice over
+    [0, R]^2, and the closed-form minimum along the soft direction at the
+    origin (`_soft_line_start`; just past a phase boundary the minimum is far
+    inside one lattice cell), starts a projected-Newton polish (`minimize`).
+    The lowest wins, ties broken lexicographically. One entry is cached (the
+    exact solve seeds its cutoff from it); NonConvergence is never cached.
     """
-    mu_max = max(params.mu12, params.mu13, params.mu23)
-    bound = max(4.0, 4.0 * mu_max / params.omega)
+    bound = max(4.0, 4.0 * max(params.mu12, params.mu13, params.mu23) / params.omega)
     axis = np.linspace(0.0, bound, 64)
     lattice = _profile(params, axis[:, None], axis[None, :])
-    starts = [axis[site] for site in _lattice_minima(lattice)]
-
-    _, origin_hessian = _profile_derivatives(params, np.zeros(2))
-    # Entrywise-nonnegative direction of slowest ascent from the origin.
-    soft = np.abs(np.linalg.eigh(origin_hessian)[1][:, 0])
-    line = minimize_scalar(
-        lambda t: _profile(params, *(t * soft)),
-        bounds=(0.0, bound),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    starts.append(line.x * soft)
-
-    def objective(x):
-        return _profile(params, *x), _profile_derivatives(params, x)[0]
-
-    best = None
-    converged_any = False
-    for x0 in starts:
-        res = minimize(objective, x0, method="L-BFGS-B", jac=True, bounds=[(0.0, None)] * 2)
-        converged_any = converged_any or res.success
-        r2, r3 = _newton_finish(params, res.x)
-        key = (_profile(params, r2, r3), _field_radius(params, r2, r3), r2, r3)
-        if best is None or key < best:
-            best = key
-
-    _, r, r2, r3 = best
+    starts = [*(axis[site] for site in _lattice_minima(lattice)), _soft_line_start(params, bound)]
+    polishes = [minimize(params, x0) for x0 in starts]
+    _, r, r2, r3 = min((_profile(params, *x), _field_radius(params, *x), *x) for x, _ in polishes)
     e_best = reduced_radial_energy(params, r, r2, r3)
-    # d^2E/drho^2 = 2 Omega > 0, so the profile Hessian is the Schur
-    # complement of the full one and decides its sign.
-    _, hess = _profile_derivatives(params, np.array([r2, r3]))
-    tol = 1e-8 * max(1.0, abs(e_best))
-    positive = bool(np.linalg.eigvalsh(hess).min() > tol)
-    point = CriticalPoint(
-        rho=r, rho2=r2, rho3=r3, energy=e_best, hessian_positive=positive
-    )
-    if not converged_any:
+    # d^2E/drho^2 = 2 Omega > 0: the profile Hessian, a Schur complement, decides the sign.
+    (a, b), (_, c) = _profile_derivatives(params, (r2, r3))[1]
+    positive = 0.5 * (a + c) - math.hypot(0.5 * (a - c), b) > 1e-8 * max(1.0, abs(e_best))
+    point = CriticalPoint(rho=r, rho2=r2, rho3=r3, energy=e_best, hessian_positive=positive)
+    if not any(p.success for p in polishes):
         raise NonConvergence("no gradient polish converged", best=point)
     return point
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import NonConvergence
 from .model import (
@@ -270,6 +269,7 @@ def fit_gaussian(nu_values, probabilities) -> tuple[float, float]:
     for the Poisson-skewed collective distributions; that offset is real,
     not a solver artifact.
     """
+    from scipy.optimize import curve_fit  # only `photon-dist --fit` pays its import
     nus = np.asarray(nu_values, dtype=float)
     probs = np.asarray(probabilities, dtype=float)
     if nus.shape != probs.shape or nus.size < 4:

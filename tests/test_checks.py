@@ -145,3 +145,26 @@ class TestOracleCheckCost:
         result = checks.check_oracle_equivalence(np.random.default_rng(20240817), level)
         assert result.passed
         assert calls == {"expectation": level.points, "build_hamiltonian": level.points}
+
+    def test_atomic_tables_are_built_once_per_n_and_read_only(self, monkeypatch):
+        # The tables are the A_ij on the photon vacuum; both checks share them.
+        builds = []
+        transition = fock.transition
+
+        def counted(space, i, j):
+            if space.nu_max == 0:
+                builds.append((space.n_atoms, i, j))
+            return transition(space, i, j)
+
+        monkeypatch.setattr(fock, "transition", counted)
+        checks._atomic_tables.cache_clear()
+        level = checks.LEVELS["fast"]
+        rng = np.random.default_rng(7)
+        checks.check_oracle_equivalence(rng, level)
+        checks.check_fock_structure(rng, level)
+        assert sorted(builds) == [(n, i, j) for n in level.n_atoms for i in LEVELS for j in LEVELS]
+        tables = checks._atomic_tables(level.n_atoms[0])
+        with pytest.raises(TypeError):
+            tables[1, 1] = None
+        with pytest.raises(ValueError):
+            tables[1, 1][0, 0] = 1.0

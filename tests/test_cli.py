@@ -86,6 +86,17 @@ class TestSweep:
         parallel = run_cli_process(*args, "--jobs", "2").stdout
         assert serial == parallel
 
+    def test_import_leaves_scipy_optimize_out(self):
+        # Only `photon-dist --fit` needs scipy.optimize; it imports it there.
+        code = "import sys, tricavity.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert proc.stdout.strip() == "False", proc.stderr[-2000:]
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
     def test_module_entry_point_matches_in_process_run(self):
         args = ("sweep", "--mu", "0.9", "--branch", "coherent,exact", "--outputs", "energy,q")
         assert run_cli_process(*args).stdout == run_cli(*args).stdout
@@ -251,21 +262,21 @@ class TestSweep:
 
     def test_one_surface_minimization_per_point(self, monkeypatch):
         # The exact cutoff estimate reuses the minimum the variational
-        # branches found; each minimization runs one line search.
-        line_search, line_searches = surface.minimize_scalar, []
+        # branches found; each minimization scans its lattice once.
+        scan, scans = surface._lattice_minima, []
 
         def counted(*args, **kwargs):
-            line_searches.append(args)
-            return line_search(*args, **kwargs)
+            scans.append(args)
+            return scan(*args, **kwargs)
 
-        monkeypatch.setattr(surface, "minimize_scalar", counted)
+        monkeypatch.setattr(surface, "_lattice_minima", counted)
         surface.minimize_surface.cache_clear()
         run_cli("sweep", "--mu", "0.5:1.5:3", "--branch", "coherent,even,odd,exact")
-        assert len(line_searches) == 3
+        assert len(scans) == 3
 
     def test_critical_coupling_keeps_the_polished_point(self):
-        # At mu_c the profile Hessian is singular to rounding; the Newton
-        # finish stops there instead of failing the row.
+        # At mu_c the profile Hessian is singular to rounding; the polish
+        # stops there instead of failing the row.
         run_cli("sweep", "--mu", "0.5", "--theta", "0.7755578947368421", "--n-atoms", "1",
                 "--branch", "coherent")
 

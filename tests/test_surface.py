@@ -14,11 +14,13 @@ from tricavity.model import (
     CoherentPoint,
     ModelParams,
     ParityBranch,
+    Regime,
 )
 from tricavity.surface import (
     _field_radius,
     _profile,
     _profile_derivatives,
+    _soft_line_start,
     boundary_coupling,
     coherent_expectations,
     energy,
@@ -93,12 +95,14 @@ class TestEnergyForms:
             assert abs(value - reduced_radial_energy(p, rho, *x)) < 1e-12
             for shift in (-1e-3, 1e-3):
                 assert value < reduced_radial_energy(p, rho + shift, *x)
-            grad, hess = _profile_derivatives(p, x)
+            grad, hess = map(np.array, _profile_derivatives(p, x))
             h = 1e-5
             for k, step in enumerate(np.eye(2) * h):
                 slope = (_profile(p, *(x + step)) - _profile(p, *(x - step))) / (2 * h)
                 assert abs(grad[k] - slope) < 1e-6 * max(1.0, abs(slope))
-                bend = _profile_derivatives(p, x + step)[0] - _profile_derivatives(p, x - step)[0]
+                bend = np.subtract(
+                    _profile_derivatives(p, x + step)[0], _profile_derivatives(p, x - step)[0]
+                )
                 assert np.allclose(hess[k], bend / (2 * h), rtol=1e-6, atol=1e-6)
 
 
@@ -112,15 +116,38 @@ class TestMinimization:
 
     def test_collective_minimum_matches_closed_form(self):
         pairs = [(1.0, math.pi / 4), (0.51, math.pi / 4), (0.6, 0.3), (1.0, 0.2), (1.5, 1.2), (2.2, 0.7)]
+        # Every collective point of the default sweep grid, where a polish
+        # that stops on the value alone falls ~1e-9 short of the minimum.
+        pairs += [
+            (float(mu), math.pi / 4)
+            for mu in np.linspace(0.0, 2.0, 201)
+            if VParams(mu=float(mu)).regime() is Regime.COLLECTIVE
+        ]
         for mu, theta in pairs:
             vp = VParams(mu=mu, theta=theta)
             crit = minimize_surface(vp.to_model_params())
             rho, rho2, rho3 = critical_point_v(vp)
-            assert abs(crit.rho - rho) < 1e-10, (mu, theta)
-            assert abs(crit.rho2 - rho2) < 1e-10, (mu, theta)
-            assert abs(crit.rho3 - rho3) < 1e-10, (mu, theta)
+            assert abs(crit.rho - rho) < 1e-12, (mu, theta)
+            assert abs(crit.rho2 - rho2) < 1e-12, (mu, theta)
+            assert abs(crit.rho3 - rho3) < 1e-12, (mu, theta)
             assert abs(crit.energy - vp.n_atoms * e_min_v(vp)) < 1e-12, (mu, theta)
             assert crit.hessian_positive, (mu, theta)
+
+    def test_soft_line_start_is_the_line_minimum(self):
+        # The closed-form start lies on the softest eigendirection of the
+        # origin Hessian and is no higher than a dense scan of that ray.
+        rng = np.random.default_rng(151)
+        for _ in range(60):
+            config = CONFIGS[rng.integers(len(CONFIGS))]
+            p = random_params(rng, config, int(rng.integers(1, 7)), rwa=bool(rng.integers(2)))
+            soft = np.abs(np.linalg.eigh(np.array(_profile_derivatives(p, (0.0, 0.0))[1]))[1][:, 0])
+            bound = float(rng.uniform(1.0, 8.0))
+            start = np.array(_soft_line_start(p, bound))
+            t = float(np.linalg.norm(start))
+            assert 0.0 <= t <= bound and np.allclose(start, t * soft, atol=1e-9 * max(1.0, t))
+            ts = np.linspace(0.0, bound, 20001)
+            scan = _profile(p, ts * soft[0], ts * soft[1])
+            assert _profile(p, *start) <= scan.min() + 1e-12 * max(1.0, abs(scan.min()))
 
     def test_shifted_ground_level_minimum(self):
         # omega1 = 0.6 lowers the V-scheme boundary to sqrt(omega3 - omega1)/2,
