@@ -575,17 +575,13 @@ def excitation_rotation_deviation(
     """Deviation of exp(i theta M) H_R exp(-i theta M) from its two-term form.
 
     The counter-rotating part H_R transforms as cos(2 theta) H_R +
-    (i/2) sin(2 theta) [M, H_R]; returns the max-abs entry difference over
-    the leading block nu <= nu_max - 2 (interior of the cutoff, nu-major).
+    (i/2) sin(2 theta) [M, H_R] because each of its entries changes M by
+    s = +-2. M is diagonal, so an entry h_rc with s = M_r - M_c is multiplied
+    by exp(i theta s) on the left and by cos(2 theta) + (i/2) sin(2 theta) s
+    on the right; returns the max-abs difference over every stored entry.
     """
-    h_r = counter_rotating_part(params, space).tocsc()
-    m = m_diagonal(space, params.config).astype(float)
-    phase = np.exp(1j * theta * m)
-    left = sparse.diags(phase) @ h_r @ sparse.diags(phase.conjugate())
-    comm = sparse.diags(m) @ h_r - h_r @ sparse.diags(m)
-    right = math.cos(2.0 * theta) * h_r + 0.5j * math.sin(2.0 * theta) * comm
-    interior = max(space.nu_max - 1, 0) * space.atomic_dimension
-    diff = (left - right).tocsr()[:interior, :interior]
-    if diff.nnz == 0:
-        return 0.0
-    return float(np.max(np.abs(diff.data)))
+    h_r = counter_rotating_part(params, space)
+    m = m_diagonal(space, params.config)
+    s = np.repeat(m, np.diff(h_r.indptr)) - m[h_r.indices]
+    two_term = math.cos(2.0 * theta) + 0.5j * math.sin(2.0 * theta) * s
+    return float(np.max(np.abs(h_r.data * (np.exp(1j * theta * s) - two_term)), initial=0.0))

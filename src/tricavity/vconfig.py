@@ -147,12 +147,6 @@ def e_min_v(vp: VParams) -> float:
     return vp.omega1 - (mu_sq - quarter) ** 2 / (vp.omega * mu_sq)
 
 
-def photon_stats_v(vp: VParams) -> tuple[float, float]:
-    """(mean, variance) of the photon number in the coherent minimum."""
-    nb = nu_bar(vp)
-    return (nb, nb)
-
-
 def _require_printed_scaling(vp: VParams, what: str) -> None:
     if not (vp.omega == 1.0 and vp.omega3 == 1.0 and vp.omega1 == 0.0):
         raise ValueError(f"{what} is printed for Omega = omega2 = omega3 = 1, omega1 = 0")

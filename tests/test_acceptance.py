@@ -145,8 +145,7 @@ def test_criterion_04_boundary_bisection():
 def test_criterion_05_unit_coupling_anchors():
     vp = VParams(mu=1.0)
     e_err = abs(vconfig.e_min_v(vp) - (-0.5625))
-    mean, _ = vconfig.photon_stats_v(vp)
-    n_err = abs(mean - 1.875)
+    n_err = abs(vconfig.nu_bar(vp) - 1.875)
     point = vconfig.critical_coherent_point(vp)
     rep = surface.coherent_expectations(vp.to_model_params(), point)
     rho_sq_err = abs(abs(point.alpha) ** 2 - rep.one_body.n_photons)

@@ -1,15 +1,19 @@
 """The oracle-equivalence check: its amplitude-matrix route, its teeth, its cost.
 
-The entropy check against the partial-trace oracle has teeth too.
+The entropy check against the partial-trace oracle and the rotation-identity
+check have teeth too.
 """
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from tricavity import checks, fock, sacs
+from tricavity.model import AtomicConfiguration
 
 from helpers import CONFIGS
 
@@ -124,6 +128,51 @@ def test_rdm_check_fails_on_a_relative_entropy_perturbation(monkeypatch):
     result = run()
     assert not result.passed
     assert result.max_dev > 1e-10
+
+
+def _store_one_more_entry(monkeypatch, s):
+    """Make counter_rotating_part store one more entry, 1 at a row whose M is the column's + s.
+
+    The column is the last basis state, so the entry lies in the top two photon
+    blocks, which a cut to nu <= nu_max - 2 would skip.
+    """
+    original = fock.counter_rotating_part
+
+    def patched(params, space):
+        m = fock.m_diagonal(space, params.config)
+        col = space.dimension - 1
+        row = np.flatnonzero(m == m[col] + s)[-1]
+        extra = sparse.csr_matrix(([1.0], ([row], [col])), shape=(space.dimension,) * 2)
+        return original(params, space) + extra
+
+    monkeypatch.setattr(fock, "counter_rotating_part", patched)
+
+
+class TestRotationCheckTeeth:
+    ANGLES = (math.pi / 7.0, math.pi / 4.0, math.pi)
+
+    def _deviations(self):
+        params = checks.random_params(np.random.default_rng(5), AtomicConfiguration.V, 2)
+        space = fock.TruncatedSpace(2, 14)
+        return [fock.excitation_rotation_deviation(params, space, t) for t in self.ANGLES]
+
+    def _check(self):
+        rng = np.random.default_rng(20240817)
+        return checks.check_rotation_identity(rng, checks.LEVELS["fast"])
+
+    def test_passes_unperturbed(self):
+        assert max(self._deviations()) < 1e-12
+        assert self._check().passed
+
+    def test_entry_that_keeps_m_fails_at_generic_angles(self, monkeypatch):
+        _store_one_more_entry(monkeypatch, 0)
+        at_7th, at_4th, _ = self._deviations()
+        assert at_7th > 1e-12 and at_4th > 1e-12
+        assert not self._check().passed
+
+    def test_entry_of_odd_step_fails_at_pi(self, monkeypatch):
+        _store_one_more_entry(monkeypatch, -1)
+        assert self._deviations()[2] > 1e-12
 
 
 class TestOracleCheckCost:

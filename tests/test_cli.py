@@ -18,7 +18,7 @@ import pytest
 
 from tricavity import cli, fock, sacs, surface
 from tricavity.errors import DegenerateState
-from tricavity.model import ParityBranch
+from tricavity.model import AtomicConfiguration, ParityBranch
 
 CMD = [sys.executable, "-m", "tricavity.cli"]
 
@@ -505,6 +505,27 @@ class TestSpectrumAndValidate:
         monkeypatch.setattr(fock, "build_hamiltonian", counted)
         run_cli("spectrum", "--mu", "1")
         assert len(builds) == 1
+
+    def test_spectrum_keeps_degenerate_copies_at_zero_coupling(self):
+        # H is diagonal at mu = 0, so every state is a block of its own and
+        # each degenerate copy is exact. Each sector is larger than
+        # DENSE_CUTOFF; Lanczos on one block per sector misses the even
+        # vacuum and leaves the copies off by rounding.
+        even, odd = fock.parity_sectors(fock.TruncatedSpace(2, 120), AtomicConfiguration.V)
+        assert min(even.size, odd.size) > fock.DENSE_CUTOFF
+        _, _, rows = parse_csv(run_cli("spectrum", "--mu", "0").stdout)
+        sectors = {"even": [], "odd": []}
+        for sector, _, value in rows:
+            sectors[sector].append(float(value))
+        assert sectors == {
+            "even": [0.0, 2.0, 2.0, 2.0, 2.0, 2.0],
+            "odd": [1.0, 1.0, 1.0, 3.0, 3.0, 3.0],
+        }
+
+    def test_validate_fast_byte_determinism(self):
+        first = run_cli_process("validate", "--level", "fast")
+        second = run_cli_process("validate", "--level", "fast")
+        assert (first.stdout, first.stderr) == (second.stdout, second.stderr)
 
     def test_validate_fast_passes(self):
         proc = run_cli("validate", "--level", "fast")

@@ -3,7 +3,8 @@
 A cheap lint against dead helpers: it counts word mentions across
 ``src/tricavity`` (leaving out ``__init__.py``, whose imports and ``__all__``
 would count every export), not calls. A third lint keeps each module's
-private names its own.
+private names its own, and a fourth flags module-level imports that the
+importing module never names again.
 """
 
 import ast
@@ -111,3 +112,30 @@ def test_no_module_names_another_modules_private_names():
     for path in sorted(PACKAGE.glob("*.py")):
         uses += _cross_module_private_uses(path.stem, ast.parse(path.read_text()))
     assert uses == []
+
+
+def _unused_imports(module: str, tree: ast.Module) -> list[str]:
+    """``module.name`` for each module-level import the module never names again.
+
+    A plain ``import a.b`` binds ``a`` but counts only where ``a.b`` is named.
+    """
+    named = {
+        ast.unparse(node) for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if name not in named:
+                    unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_every_module_level_import_is_named_again():
+    unused = []
+    for module, text in _sources().items():
+        unused += _unused_imports(module, ast.parse(text))
+    assert unused == []

@@ -21,7 +21,6 @@ from tricavity.vconfig import (
     mu_critical,
     nu_bar,
     photon_dist_v,
-    photon_stats_v,
     sacs_energy_v,
 )
 
@@ -64,9 +63,7 @@ class TestCollectiveClosedForms:
     def test_unit_coupling_anchors(self):
         vp = VParams(mu=1.0)
         assert abs(e_min_v(vp) - (-0.5625)) < 1e-15
-        mean, var = photon_stats_v(vp)
-        assert abs(mean - 1.875) < 1e-15
-        assert abs(var - mean) < 1e-15
+        assert abs(nu_bar(vp) - 1.875) < 1e-15
         rho, rho2, rho3 = critical_point_v(vp)
         assert abs(rho - 1.3693063937629153) < 1e-15
         assert abs(rho2 - math.sqrt(0.3)) < 1e-15
@@ -98,10 +95,9 @@ class TestCollectiveClosedForms:
         for _ in range(25):
             vp = VParams(mu=rng.uniform(0.6, 2.5), n_atoms=int(rng.integers(1, 7)))
             rep = coherent_expectations(vp.to_model_params(), critical_coherent_point(vp))
-            assert abs(rep.one_body.n_photons - nu_bar(vp)) < 1e-10 * max(1.0, rep.one_body.n_photons)
-            mean, var = photon_stats_v(vp)
-            assert abs(rep.one_body.n_photons - mean) < 1e-10 * max(1.0, mean)
-            assert abs(rep.photon_var - var) < 1e-10 * max(1.0, var)
+            mean = nu_bar(vp)
+            assert abs(rep.one_body.n_photons - mean) < 1e-10 * max(1.0, rep.one_body.n_photons)
+            assert abs(rep.photon_var - mean) < 1e-10 * max(1.0, mean)
 
     def test_rwa_closed_forms_use_half_coupling(self):
         full = VParams(mu=1.0)
