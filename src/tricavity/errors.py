@@ -25,7 +25,7 @@ class NonConvergence(TricavityError):
 
 
 class CutoffNotConverged(TricavityError):
-    """Raised when the photon-number cutoff fails its convergence certificate."""
+    """Raised by the cutoff schedule when no cutoff passes; ``delta`` is the last one's."""
 
     def __init__(self, message, delta=None):
         super().__init__(message)

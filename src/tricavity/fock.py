@@ -438,7 +438,7 @@ class GroundStateResult:
     even: SectorGround
     odd: SectorGround
     nu_max: int
-    certificate: dict
+    delta: float | None
 
     @property
     def global_ground(self) -> SectorGround:
@@ -448,15 +448,16 @@ class GroundStateResult:
 def _blocks(params: ModelParams, space: TruncatedSpace):
     """(even, odd) lists of (indices, H block), one per connected block of H.
 
-    H is built once and its coupling graph searched once. H keeps the
-    excitation parity, so each block lies in one sector, and it is filed
-    under the parity of its first member. Under the RWA the blocks are those
-    of fixed M, and the vacuum is a block of its own: a Lanczos run on a
-    whole sector would miss it, so every block is solved on its own. H is
-    permuted once, members grouped by block in index order, so that each
-    block is a contiguous diagonal slice of it whose nu <= nu_max - 10
-    states are a prefix. On a bright block H is that of the rotated
-    parameters.
+    H is built once and its coupling graph searched once, on H itself:
+    `build_hamiltonian` stores no zeros, so its stored entries are the
+    edges. H keeps the excitation parity, so each block lies in one sector,
+    and it is filed under the parity of its first member. Under the RWA the
+    blocks are those of fixed M, and the vacuum is a block of its own: a
+    Lanczos run on a whole sector would miss it, so every block is solved
+    on its own. H is permuted once, members grouped by block in index
+    order, so that each block is a contiguous diagonal slice of it whose
+    nu <= nu_max - 10 states are a prefix. On a bright block H is that of
+    the rotated parameters.
     """
     if space.dark_level is not None:
         if space.dark_level != dark_level(params):
@@ -465,7 +466,7 @@ def _blocks(params: ModelParams, space: TruncatedSpace):
     h = build_hamiltonian(params, space)
     parity = np.zeros(space.dimension, dtype=int)
     parity[parity_sectors(space, params.config)[1]] = 1
-    _, labels = connected_components(h != 0, directed=False)
+    _, labels = connected_components(h, directed=False)
     members = np.argsort(labels, kind="stable")
     ends = np.cumsum(np.bincount(labels))
     permuted = h[members][:, members]
@@ -481,22 +482,22 @@ def ground_states(
     space: TruncatedSpace,
     certify: bool = True,
 ) -> GroundStateResult:
-    """Per-parity-sector ground states with a cutoff-convergence certificate.
+    """Per-parity-sector ground states and, with `certify`, their cutoff delta.
 
     The space is the full one or the bright block of the parameters' frame
     (`TruncatedSpace(n, nu_max, dark_level(params))`); the states live on it.
-    The certificate compares each sector energy E against the lowest
-    eigenvalue of the block the solver names for its ground, cut to its
-    nu <= nu_max - 10 states, and requires agreement within
-    CERTIFICATE_DELTA. The basis is nu-major, so that cut is a prefix of the
-    block of `_blocks`, sliced rather than rebuilt; a Lanczos solve of it
-    starts from the ground vector cut alike, while the main solve keeps the fixed
-    start, so the result stays deterministic. By Cauchy interlacing no
-    prefix of another block lies below its block's ground, which is at least
-    E, so this delta is never below that of the whole nu_max - 10 sector.
+    The delta compares each sector energy E against the lowest eigenvalue of
+    the block the solver names for its ground, cut to its nu <= nu_max - 10
+    states, and is the larger |E - E_lead| of the two sectors (None without
+    `certify`); a ground block without such states, as at every cutoff below
+    10, gives infinity. Only `converged_ground_states` judges it. The basis
+    is nu-major, so that cut is a prefix of the block of `_blocks`, sliced
+    rather than rebuilt; a Lanczos solve of it starts from the ground vector
+    cut alike, while the main solve keeps the fixed start, so the result
+    stays deterministic. By Cauchy interlacing no prefix of another block
+    lies below its block's ground, which is at least E, so this delta is
+    never below that of the whole nu_max - 10 sector.
     """
-    if certify and space.nu_max < 11:
-        raise CutoffNotConverged("nu_max too small to certify", delta=None)
     leading = (space.nu_max - 9) * space.atomic_dimension
     grounds, deltas = [], []
     for branch, blocks in zip(ParityBranch, _blocks(params, space)):
@@ -508,33 +509,24 @@ def ground_states(
         grounds.append(SectorGround(float(energy), StateVector(space, data), branch))
         if certify:
             m = int(np.searchsorted(part, leading))
-            lead = math.inf  # a ground block without such states certifies nothing
+            lead = math.inf
             if m:
                 ((lead, _, _),) = _lowest_eigenpairs([(part[:m], block[:m, :m])], 1, start=vec[:m])
             deltas.append(abs(lead - energy))
-
-    certificate = {"delta": None, "nu_max": space.nu_max, "certified": False}
-    if certify:
-        worst = float(max(deltas))
-        certificate.update(delta=worst, certified=worst < CERTIFICATE_DELTA)
-        if worst >= CERTIFICATE_DELTA:
-            raise CutoffNotConverged(
-                f"|E(nu_max) - E(nu_max - 10)| = {worst:.3e} >= {CERTIFICATE_DELTA:.1e}",
-                delta=worst,
-            )
     even, odd = grounds
-    return GroundStateResult(even, odd, nu_max=space.nu_max, certificate=certificate)
+    return GroundStateResult(even, odd, space.nu_max, float(max(deltas)) if certify else None)
 
 
 def converged_ground_states(params: ModelParams) -> GroundStateResult:
-    """Double the cutoff from the coherent estimate until the certificate holds.
+    """Double the cutoff from the coherent estimate until delta < CERTIFICATE_DELTA.
 
     The solve runs on the bright block where the frame has a dark level,
     else on the full space. The first cutoff is suggested_nu_max at the
     minimum of the coherent surface (its best candidate if the minimizer did
     not converge: the estimate is only a starting guess, the certificate
-    decides). Raises CutoffNotConverged once the next cutoff passes
-    NU_MAX_LIMIT or its basis would pass MAX_DIMENSION.
+    decides). Returns the first result of `ground_states` whose delta passes.
+    Raises CutoffNotConverged, with the delta of the last attempt, once the
+    next cutoff passes NU_MAX_LIMIT or its basis would pass MAX_DIMENSION.
     """
     try:
         crit = surface.minimize_surface(params)
@@ -550,10 +542,10 @@ def converged_ground_states(params: ModelParams) -> GroundStateResult:
                 f"no converged cutoff below the basis limit at nu_max={nu_max}: {exc}",
                 delta=delta,
             ) from exc
-        try:
-            return ground_states(params, space)
-        except CutoffNotConverged as exc:
-            nu_max, delta = 2 * nu_max, exc.delta
+        result = ground_states(params, space)
+        if result.delta < CERTIFICATE_DELTA:
+            return result
+        nu_max, delta = 2 * nu_max, result.delta
     raise CutoffNotConverged(
         f"no converged cutoff found up to nu_max={NU_MAX_LIMIT}", delta=delta
     )

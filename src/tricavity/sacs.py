@@ -144,9 +144,7 @@ def _a_product(sp: SacsPoint, i: int, j: int, k: int, l: int) -> complex:
 
 
 def _a_field(sp: SacsPoint, i: int, j: int) -> complex:
-    """<A_ij a> reduced; a flips the parity, so it keeps the branch iff p_i != p_j."""
-    if sp._parity(i) == sp._parity(j):
-        return 0j
+    """<A_ij a> reduced, (i, j) an allowed pair either way: p_i != p_j, so it keeps the branch."""
     direct = sp.n_atoms * sp.point.alpha * sp._gamma(i).conjugate() * sp._gamma(j) / sp.g
     return sp._term(direct, sp._parity(i), 1)
 

@@ -195,10 +195,7 @@ def photon_dist_v(vp: VParams, approx: Approximation, nu_values) -> np.ndarray:
             out[nu_arr == 1] = 0.5
         return float(out[0]) if scalar_input else out
 
-    log_pois = nu_arr * math.log(nb) - np.array(
-        [math.lgamma(v + 1.0) for v in nu_arr]
-    ) - nb
-    pois = np.exp(log_pois)
+    pois = sacs_mod.poisson_distribution(nb, nu_arr)
     if approx is Approximation.COHERENT:
         return float(pois[0]) if scalar_input else pois
     sign = 1.0 if approx is Approximation.SACS_EVEN else -1.0

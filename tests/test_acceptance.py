@@ -278,7 +278,7 @@ def test_criterion_09_exact_bounds():
         vp = VParams(mu=mu)
         params = vp.to_model_params()
         result = fock.converged_ground_states(params)
-        worst_cert = max(worst_cert, result.certificate["delta"])
+        worst_cert = max(worst_cert, result.delta)
         exact_even = result.even.energy / params.n_atoms
         exact_odd = result.odd.energy / params.n_atoms
         e_plus = sacs.sacs_energy(params, sacs_minimum(vp, ParityBranch.EVEN))

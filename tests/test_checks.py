@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from tricavity import checks, fock, sacs
+from tricavity import checks, fock, sacs, vconfig
 from tricavity.model import AtomicConfiguration
 
 from helpers import CONFIGS
@@ -125,6 +125,20 @@ def test_rdm_check_fails_on_a_relative_entropy_perturbation(monkeypatch):
     assert run().passed
     original = sacs.linear_entropy
     monkeypatch.setattr(sacs, "linear_entropy", lambda sp: _perturbed(original(sp)))
+    result = run()
+    assert not result.passed
+    assert result.max_dev > 1e-10
+
+
+def test_photon_mean_check_fails_on_a_relative_nu_bar_perturbation(monkeypatch):
+    def run():
+        return checks.check_photon_mean_consistency(
+            np.random.default_rng(20240817), checks.LEVELS["fast"]
+        )
+
+    assert run().passed
+    original = vconfig.nu_bar
+    monkeypatch.setattr(vconfig, "nu_bar", lambda vp: original(vp) * (1.0 + 1e-9))
     result = run()
     assert not result.passed
     assert result.max_dev > 1e-10

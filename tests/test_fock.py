@@ -262,15 +262,20 @@ class TestIndexAssembly:
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.value)
     def test_counter_rotating_part_is_full_minus_rwa(self, config):
-        for frame, mu in (("default", 1.3), ("shifted", 1.3), ("shifted", 0.0)):
+        # Also: H stores no zeros (`_blocks` searches its structure), in the
+        # default frame's zero ground energy, at mu = 0 and at theta = 0,
+        # where one coupling is zero.
+        cases = (("default", 1.3, 0.7), ("shifted", 1.3, 0.7), ("shifted", 0.0, 0.7))
+        for frame, mu, theta in cases + (("default", 1.3, 0.0),):
             for n_atoms in (1, 2, 5):
-                params = _frame_params(config, False, frame, n_atoms, mu=mu)
+                params = _frame_params(config, False, frame, n_atoms, mu=mu, theta=theta)
                 space = fock.TruncatedSpace(n_atoms, 12)
                 full = fock.build_hamiltonian(params, space)
                 rwa = fock.build_hamiltonian(replace(params, rwa=True), space)
                 h_r = fock.counter_rotating_part(params, space)
                 assert h_r.shape == full.shape and (h_r.nnz > 0) == (mu > 0)
                 assert (h_r != full - rwa).nnz == 0
+                assert np.all(full.data != 0) and np.all(rwa.data != 0)
 
     def test_chain_expectation_matches_product_matrix(self):
         rng = np.random.default_rng(359)
@@ -452,7 +457,7 @@ class TestBlocks:
             monkeypatch.setattr(fock, name, counted)
         p = VParams(mu=0.3, n_atoms=2).to_model_params()
         result = fock.ground_states(p, fock.TruncatedSpace(2, 30, fock.dark_level(p)))
-        assert result.certificate["certified"]
+        assert result.delta < fock.CERTIFICATE_DELTA
         assert calls == {"build_hamiltonian": 1, "connected_components": 1}
         fock.sector_spectrum(p, fock.TruncatedSpace(2, 30))
         assert calls == {"build_hamiltonian": 2, "connected_components": 2}
@@ -480,8 +485,8 @@ class TestGroundStates:
     def test_certificate_and_convergence(self):
         vp = VParams(mu=1.0)
         result = fock.converged_ground_states(vp.to_model_params())
-        assert result.certificate["certified"]
-        assert result.certificate["delta"] < 1e-10
+        assert result.delta < fock.CERTIFICATE_DELTA
+        assert result.delta < 1e-10
         assert result.even.energy < result.odd.energy
         assert result.global_ground.sector is ParityBranch.EVEN
 
@@ -574,7 +579,7 @@ def _assert_deterministic_and_matches_dense(monkeypatch, p):
     monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
     dense = fock.converged_ground_states(p)
     assert first.nu_max == second.nu_max == dense.nu_max
-    assert first.certificate == second.certificate
+    assert first.delta == second.delta
     for branch in ("even", "odd"):
         a, b, ref = (getattr(r, branch) for r in (first, second, dense))
         assert a.energy == b.energy
@@ -649,7 +654,7 @@ class TestCutoffSchedule:
             cutoffs.clear()
             result = fock.converged_ground_states(p)
             assert len(cutoffs) == 1
-            assert result.certificate["certified"]
+            assert result.delta < fock.CERTIFICATE_DELTA
             _assert_matches_double_cutoff(p, result)
 
     def test_doubles_from_a_low_estimate(self, monkeypatch):
@@ -670,11 +675,9 @@ class TestCutoffSchedule:
         solve = fock.ground_states
 
         def recorded(params, space, *args, **kwargs):
-            try:
-                return solve(params, space, *args, **kwargs)
-            except CutoffNotConverged as exc:
-                deltas[space.nu_max] = exc.delta
-                raise
+            result = solve(params, space, *args, **kwargs)
+            deltas[space.nu_max] = result.delta
+            return result
 
         monkeypatch.setattr(fock, "ground_states", recorded)
         message = "no converged cutoff found up to nu_max=100"
@@ -700,7 +703,7 @@ def _assert_doubles_from_a_low_estimate(monkeypatch, p):
     assert len(cutoffs) > 1
     assert cutoffs == [12 * 2**i for i in range(len(cutoffs))]
     assert result.nu_max == cutoffs[-1]
-    assert result.certificate["certified"]
+    assert result.delta < fock.CERTIFICATE_DELTA
     _assert_matches_double_cutoff(p, result)
     for branch in ("even", "odd"):
         assert abs(getattr(result, branch).energy - getattr(reference, branch).energy) < 1e-10
@@ -764,7 +767,7 @@ class TestWarmCertificate:
 
         monkeypatch.setattr(fock, "_lowest_eigenpairs", recording)
         result = fock.converged_ground_states(p)
-        assert result.certificate["certified"]
+        assert result.delta < fock.CERTIFICATE_DELTA
         main = [blocks for blocks, start in calls if start is None]
         certificates = [(blocks, start) for blocks, start in calls if start is not None]
         assert len(certificates) == len(main) and min(len(blocks) for blocks in main) > 1
@@ -781,16 +784,27 @@ class TestWarmCertificate:
             omega=0.01, omega1=0.0, omega2=0.01, omega3=0.02, n_atoms=2, config=config,
             rwa=True, **couplings_from_magnitude(config, 3.0, 0.8),
         )
-        with pytest.raises(CutoffNotConverged) as caught:
-            fock.ground_states(p, fock.TruncatedSpace(2, 11))
-        assert caught.value.delta == math.inf
+        assert fock.ground_states(p, fock.TruncatedSpace(2, 11)).delta == math.inf
+
+    def test_cutoff_below_ten_has_no_leading_states(self):
+        p = VParams(mu=1.0).to_model_params()
+        result = fock.ground_states(p, fock.TruncatedSpace(2, 5))
+        assert result.delta == math.inf
+        assert fock.ground_states(p, fock.TruncatedSpace(2, 5), certify=False).delta is None
+
+    def test_failing_cutoff_is_measured_not_raised(self):
+        # nu_max = 12 is far too low at mu = 1.5: the delta says so, and
+        # only the cutoff schedule turns that into a doubling.
+        p = VParams(mu=1.5, theta=0.8, n_atoms=4).to_model_params()
+        result = fock.ground_states(p, fock.TruncatedSpace(4, 12, fock.dark_level(p)))
+        assert math.isfinite(result.delta) and result.delta >= fock.CERTIFICATE_DELTA
 
 
 def _assert_delta_matches_dense_leading_block(monkeypatch, p, dense_cutoff):
     monkeypatch.setattr(fock, "DENSE_CUTOFF", dense_cutoff)
     first = fock.converged_ground_states(p)
     second = fock.converged_ground_states(p)
-    assert first.certificate == second.certificate
+    assert (first.nu_max, first.delta) == (second.nu_max, second.delta)
     space = fock.TruncatedSpace(p.n_atoms, first.nu_max, fock.dark_level(p))
     leading = (space.nu_max - 9) * space.atomic_dimension
     solved = p if space.dark_level is None else fock._bright_rotation(p)[0]
@@ -800,7 +814,7 @@ def _assert_delta_matches_dense_leading_block(monkeypatch, p, dense_cutoff):
         lead = indices[indices < leading]
         dense = h[np.ix_(lead, lead)].toarray()
         deltas.append(abs(ground.energy - scipy.linalg.eigvalsh(dense, subset_by_index=(0, 0))[0]))
-    assert abs(first.certificate["delta"] - max(deltas)) < 1e-12
+    assert abs(first.delta - max(deltas)) < 1e-12
 
 
 class TestSacsVectorOracle:

@@ -87,7 +87,8 @@ class TestConfigurations:
 
     def test_allowed_pairs_change_excitation_by_one(self):
         # Every allowed transition moves M by exactly one quantum, so the
-        # counter-rotating terms all carry a two-quantum mismatch.
+        # counter-rotating terms all carry a two-quantum mismatch, and the
+        # field term <A_ij a> of `sacs` always keeps the parity branch.
         for config in CONFIGS:
             l2, l3 = excitation_weights(config)
             weights = {1: 0, 2: l2, 3: l3}
