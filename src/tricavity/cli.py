@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -177,7 +177,7 @@ def _sacs_columns(params: ModelParams, crit: surface.CriticalPoint, branch: Pari
 def _exact_columns(params: ModelParams, nu_max: int | None) -> dict:
     if nu_max is not None:
         space = fock.TruncatedSpace(params.n_atoms, nu_max, fock.dark_level(params))
-        result = fock.ground_states(params, space, certify=False)
+        result = fock.ground_states(params, space)
     else:
         result = fock.converged_ground_states(params)
     ground = result.global_ground
@@ -185,9 +185,8 @@ def _exact_columns(params: ModelParams, nu_max: int | None) -> dict:
     return {**_columns(params.n_atoms, obs), "parity": float(ground.sector.sign)}
 
 
-def _evaluate_point(task):
-    """One grid point -> (label, value, every column of each treatment) or raises."""
-    label, value, params, approxes, nu_max = task
+def _evaluate_point(params: ModelParams, approxes, nu_max: int | None) -> dict:
+    """Every column of each treatment at one grid point, or raises."""
     row = {}
     need_surface = any(a in approxes for a in ("coherent", "even", "odd"))
     crit = surface.minimize_surface(params) if need_surface else None
@@ -200,14 +199,14 @@ def _evaluate_point(task):
         else:
             cols = _exact_columns(params, nu_max)
         row.update((f"{approx}_{key}", cell) for key, cell in cols.items())
-    return label, value, row
+    return row
 
 
-def _evaluate_point_safe(task):
+def _evaluate_point_safe(params: ModelParams, approxes, nu_max: int | None):
     try:
-        return _evaluate_point(task)
+        return _evaluate_point(params, approxes, nu_max)
     except (TricavityError, ValueError, ArithmeticError) as exc:
-        return task[0], task[1], exc
+        return exc
 
 
 def _fmt(value, na: str) -> str:
@@ -286,13 +285,12 @@ def cmd_sweep(args, parser) -> int:
         frame = _make_params(args, mu_axis[0], theta_axis[0], max(atoms_axis))
         _checked_space(frame.n_atoms, args.nu_max, fock.dark_level(frame))
 
-    tasks = []
+    values, points = [], []
     for n_atoms in atoms_axis:
         for theta in theta_axis:
             for mu in mu_axis:
-                value = {"mu": mu, "theta": theta, "n_atoms": n_atoms}[grid_var]
-                params = _make_params(args, mu, theta, n_atoms)
-                tasks.append((grid_var, value, params, approxes, args.nu_max))
+                values.append({"mu": mu, "theta": theta, "n_atoms": n_atoms}[grid_var])
+                points.append(_make_params(args, mu, theta, n_atoms))
 
     columns = [grid_var]
     for approx in approxes:
@@ -301,31 +299,27 @@ def cmd_sweep(args, parser) -> int:
         if approx == "exact":
             columns.append("exact_parity")
 
+    evaluate = partial(_evaluate_point_safe, approxes=approxes, nu_max=args.nu_max)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_evaluate_point_safe, tasks))
+            results = list(pool.map(evaluate, points))
     else:
-        results = [_evaluate_point_safe(task) for task in tasks]
+        results = [evaluate(params) for params in points]
 
     rows = []
-    for label, value, outcome in results:
+    for value, outcome in zip(values, results):
         if isinstance(outcome, Exception):
             print(
-                f"numerical failure at {label}={value:.6g}: {outcome}",
+                f"numerical failure at {grid_var}={value:.6g}: {outcome}",
                 file=sys.stderr,
             )
             return EXIT_NUMERICAL
-        if label == "n_atoms":
-            row = [int(value)]
-        else:
-            row = [value]
-        row.extend(outcome.get(col) for col in columns[1:])
-        rows.append(row)
+        rows.append([value, *(outcome.get(col) for col in columns[1:])])
 
     metadata = _base_metadata(args, "sweep")
     metadata.update(
         {
-            "grid": f"{grid_var}:{len(tasks)} points",
+            "grid": f"{grid_var}:{len(points)} points",
             "mu": args.mu,
             "theta": args.theta,
             "n_atoms": args.n_atoms,

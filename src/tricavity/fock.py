@@ -366,9 +366,7 @@ def build_sacs_vector(
     return StateVector(space=space, data=psi.ravel())
 
 
-def _lowest_eigenpairs(
-    blocks, k: int, start: np.ndarray | None = None
-) -> list[tuple[float, int, np.ndarray]]:
+def _lowest_eigenpairs(blocks, k: int) -> list[tuple[float, int, np.ndarray]]:
     """Lowest k (eigenvalue, block number, eigenvector on the block) of (indices, block) pairs.
 
     Each block is solved on its own: dense when it has at most DENSE_CUTOFF
@@ -377,11 +375,8 @@ def _lowest_eigenpairs(
     fixed start vector, so that repeated solves agree bit for bit. A block
     of `_blocks` has off-diagonals <= 0, so its ground state is positive and
     overlaps the positive start vector; the entries are unequal because a
-    uniform vector misses states odd under a level exchange. Given `start`
-    (a vector on the one block passed), a Lanczos solve starts from it
-    instead (the certificate passes the ground vector cut to the block,
-    which is nearly the answer). The triples of all blocks are merged by a
-    stable sort on the eigenvalue.
+    uniform vector misses states odd under a level exchange. The triples of
+    all blocks are merged by a stable sort on the eigenvalue.
     """
     triples = []
     for number, (part, sub) in enumerate(blocks):
@@ -390,7 +385,7 @@ def _lowest_eigenpairs(
         if n <= DENSE_CUTOFF or 16 * kk >= n:
             vals, vecs = scipy.linalg.eigh(sub.toarray(), subset_by_index=(0, kk - 1))
         else:
-            v0 = np.random.default_rng(0).uniform(0.5, 1.5, n) if start is None else start
+            v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
             vals, vecs = eigsh(sub, k=kk, which="SA", v0=v0)
         triples.extend((value, number, vec) for value, vec in zip(vals, vecs.T))
     return sorted(triples, key=lambda triple: triple[0])[:k]
@@ -435,10 +430,12 @@ def ground_observables(ground: SectorGround, params: ModelParams) -> StateObserv
 
 @dataclass
 class GroundStateResult:
+    """Both sector ground states at one cutoff, and its certificate delta (see `ground_states`)."""
+
     even: SectorGround
     odd: SectorGround
     nu_max: int
-    delta: float | None
+    delta: float
 
     @property
     def global_ground(self) -> SectorGround:
@@ -455,9 +452,8 @@ def _blocks(params: ModelParams, space: TruncatedSpace):
     blocks are those of fixed M, and the vacuum is a block of its own: a
     Lanczos run on a whole sector would miss it, so every block is solved
     on its own. H is permuted once, members grouped by block in index
-    order, so that each block is a contiguous diagonal slice of it whose
-    nu <= nu_max - 10 states are a prefix. On a bright block H is that of
-    the rotated parameters.
+    order, so that each block is a contiguous diagonal slice of it. On a
+    bright block H is that of the rotated parameters.
     """
     if space.dark_level is not None:
         if space.dark_level != dark_level(params):
@@ -477,26 +473,20 @@ def _blocks(params: ModelParams, space: TruncatedSpace):
     return sectors
 
 
-def ground_states(
-    params: ModelParams,
-    space: TruncatedSpace,
-    certify: bool = True,
-) -> GroundStateResult:
-    """Per-parity-sector ground states and, with `certify`, their cutoff delta.
+def ground_states(params: ModelParams, space: TruncatedSpace) -> GroundStateResult:
+    """Per-parity-sector ground states and their cutoff delta.
 
     The space is the full one or the bright block of the parameters' frame
     (`TruncatedSpace(n, nu_max, dark_level(params))`); the states live on it.
-    The delta compares each sector energy E against the lowest eigenvalue of
-    the block the solver names for its ground, cut to its nu <= nu_max - 10
-    states, and is the larger |E - E_lead| of the two sectors (None without
-    `certify`); a ground block without such states, as at every cutoff below
-    10, gives infinity. Only `converged_ground_states` judges it. The basis
-    is nu-major, so that cut is a prefix of the block of `_blocks`, sliced
-    rather than rebuilt; a Lanczos solve of it starts from the ground vector
-    cut alike, while the main solve keeps the fixed start, so the result
-    stays deterministic. By Cauchy interlacing no prefix of another block
-    lies below its block's ground, which is at least E, so this delta is
-    never below that of the whole nu_max - 10 sector.
+    The delta of a sector compares its energy E with the Rayleigh quotient
+    x.Hx / x.x, where H is the block the solver names for its ground and x
+    the ground vector with every state of nu > nu_max - 10 set to zero; the
+    result carries the larger |x.Hx / x.x - E| of the two sectors. Where x
+    is zero, as at every cutoff below 10, the delta is infinite. Only
+    `converged_ground_states` judges it. The quotient is at least the
+    lowest eigenvalue of the nu <= nu_max - 10 states of that block, and so
+    of the whole nu_max - 10 sector: this delta is never below the distance
+    from E to either.
     """
     leading = (space.nu_max - 9) * space.atomic_dimension
     grounds, deltas = [], []
@@ -507,14 +497,11 @@ def ground_states(
         data = np.zeros(space.dimension, dtype=complex)
         data[part] = vec * (abs(pivot) / pivot)
         grounds.append(SectorGround(float(energy), StateVector(space, data), branch))
-        if certify:
-            m = int(np.searchsorted(part, leading))
-            lead = math.inf
-            if m:
-                ((lead, _, _),) = _lowest_eigenpairs([(part[:m], block[:m, :m])], 1, start=vec[:m])
-            deltas.append(abs(lead - energy))
+        x = np.where(part < leading, vec, 0.0)
+        norm = x @ x
+        deltas.append(abs(x @ (block @ x) / norm - energy) if norm else math.inf)
     even, odd = grounds
-    return GroundStateResult(even, odd, space.nu_max, float(max(deltas)) if certify else None)
+    return GroundStateResult(even, odd, space.nu_max, float(max(deltas)))
 
 
 def converged_ground_states(params: ModelParams) -> GroundStateResult:
@@ -526,7 +513,8 @@ def converged_ground_states(params: ModelParams) -> GroundStateResult:
     not converge: the estimate is only a starting guess, the certificate
     decides). Returns the first result of `ground_states` whose delta passes.
     Raises CutoffNotConverged, with the delta of the last attempt, once the
-    next cutoff passes NU_MAX_LIMIT or its basis would pass MAX_DIMENSION.
+    next cutoff passes NU_MAX_LIMIT or its basis would pass MAX_DIMENSION,
+    and with no delta when the first cutoff already passes NU_MAX_LIMIT.
     """
     try:
         crit = surface.minimize_surface(params)
@@ -534,6 +522,11 @@ def converged_ground_states(params: ModelParams) -> GroundStateResult:
         crit = exc.best
     dark = dark_level(params)
     nu_max, delta = suggested_nu_max(crit.rho), None
+    if nu_max > NU_MAX_LIMIT:
+        raise CutoffNotConverged(
+            f"the first cutoff, nu_max={nu_max}, exceeds the largest, {NU_MAX_LIMIT}: "
+            "nothing was solved"
+        )
     while nu_max <= NU_MAX_LIMIT:
         try:
             space = TruncatedSpace(params.n_atoms, nu_max, dark)

@@ -189,6 +189,11 @@ class TestRotationCheckTeeth:
         assert self._deviations()[2] > 1e-12
 
 
+def test_run_checks_rejects_an_unknown_level():
+    with pytest.raises(ValueError, match="unknown level 'medium'"):
+        checks.run_checks("medium")
+
+
 class TestOracleCheckCost:
     def test_one_sparse_expectation_and_one_hamiltonian_per_point(self, monkeypatch):
         calls = {"expectation": 0, "build_hamiltonian": 0}

@@ -213,7 +213,7 @@ class TestSweep:
         p = cli._make_params(args, 1.0, math.pi / 4, 2)
         assert (fock.dark_level(p) is None) == bool(flags)
         space = fock.TruncatedSpace(2, 40, fock.dark_level(p))
-        expected = fock.ground_states(p, space, certify=False).global_ground.energy / 2
+        expected = fock.ground_states(p, space).global_ground.energy / 2
         assert column(header, rows, "exact_energy") == [expected]
 
     def test_na_sentinel_marks_indeterminate_cells(self):

@@ -36,6 +36,15 @@ class TestSpace:
             assert space.dimension == atomic * (nu_max + 1)
             assert space.occupations == symmetric_occupations(n)
 
+    def test_rejects_bad_sizes_and_a_mismatched_atom_number(self):
+        with pytest.raises(ValueError, match="n_atoms must be positive"):
+            fock.TruncatedSpace(0, 5)
+        with pytest.raises(ValueError, match="nu_max must be nonnegative"):
+            fock.TruncatedSpace(1, -1)
+        p = VParams(mu=1.0, n_atoms=2).to_model_params()
+        with pytest.raises(ValueError, match="atom-number mismatch"):
+            fock.build_hamiltonian(p, fock.TruncatedSpace(3, 4))
+
     def test_operator_algebra(self):
         space = fock.TruncatedSpace(2, 12)
         a = fock.annihilation(space)
@@ -107,7 +116,7 @@ class TestHamiltonianStructure:
         vp = VParams(mu=1.0)
         p = vp.to_model_params()
         space = fock.TruncatedSpace(p.n_atoms, 40)
-        result = fock.ground_states(p, space, certify=False)
+        result = fock.ground_states(p, space)
         for vals, ground in zip(fock.sector_spectrum(p, space, k=2), (result.even, result.odd)):
             assert abs(vals[0] - ground.energy) < 1e-10
             assert vals[1] > vals[0]
@@ -370,9 +379,9 @@ class TestBrightBlock:
                 n_atoms=n, config=config, rwa=rwa,
             )
             space = fock.TruncatedSpace(n, nu_max, fock.dark_level(p))
-            block = fock.ground_states(p, space, certify=False)
+            block = fock.ground_states(p, space)
             full_space = fock.TruncatedSpace(n, nu_max)
-            full = fock.ground_states(p, full_space, certify=False)
+            full = fock.ground_states(p, full_space)
             spectra = fock.sector_spectrum(p, full_space, k=2)
             for branch, values in zip(("even", "odd"), spectra):
                 ours, ref = getattr(block, branch), getattr(full, branch)
@@ -407,7 +416,7 @@ class TestBrightBlock:
             rotated = fock._bright_rotation(p)[0]
             space = fock.TruncatedSpace(n, 24)
             n_dark = np.array(space.occupations)[:, dark - 1]
-            bright = fock.ground_states(p, fock.TruncatedSpace(n, 24, dark), certify=False)
+            bright = fock.ground_states(p, fock.TruncatedSpace(n, 24, dark))
             for blocks, ground in zip(fock._blocks(rotated, space), (bright.even, bright.odd)):
                 lowest = {}
                 for part, sub in blocks:
@@ -510,7 +519,7 @@ class TestGroundStates:
         vp = VParams(mu=1.3)
         p = vp.to_model_params()
         space = fock.TruncatedSpace(p.n_atoms, 60)
-        result = fock.ground_states(p, space, certify=False)
+        result = fock.ground_states(p, space)
         pi = fock.parity_operator(space, p.config)
         for branch, ground in ((ParityBranch.EVEN, result.even), (ParityBranch.ODD, result.odd)):
             val = ground.state.expectation(pi)
@@ -522,10 +531,10 @@ class TestLanczosPath:
         p = VParams(mu=1.3, n_atoms=4).to_model_params()
         space = fock.TruncatedSpace(4, 60)
         monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
-        dense = fock.ground_states(p, space, certify=False)
+        dense = fock.ground_states(p, space)
         monkeypatch.setattr(fock, "DENSE_CUTOFF", 50)
-        first = fock.ground_states(p, space, certify=False)
-        second = fock.ground_states(p, space, certify=False)
+        first = fock.ground_states(p, space)
+        second = fock.ground_states(p, space)
         for branch in ("even", "odd"):
             a, b, ref = (getattr(r, branch) for r in (first, second, dense))
             assert a.energy == b.energy
@@ -610,10 +619,10 @@ class TestCoupledComponents:
         space = fock.TruncatedSpace(4, 80)
         cases = [VParams(mu=mu, n_atoms=4, rwa=True).to_model_params() for mu in (0.3, 1.3)]
         monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
-        dense = [fock.ground_states(p, space, certify=False) for p in cases]
+        dense = [fock.ground_states(p, space) for p in cases]
         monkeypatch.setattr(fock, "DENSE_CUTOFF", 50)
         for p, ref in zip(cases, dense):
-            split = fock.ground_states(p, space, certify=False)
+            split = fock.ground_states(p, space)
             for branch in ("even", "odd"):
                 assert abs(getattr(split, branch).energy - getattr(ref, branch).energy) < 1e-12
 
@@ -633,7 +642,7 @@ def _counting_attempts(monkeypatch):
 
 def _assert_matches_double_cutoff(params, result):
     space = fock.TruncatedSpace(params.n_atoms, 2 * result.nu_max)
-    ref = fock.ground_states(params, space, certify=False)
+    ref = fock.ground_states(params, space)
     for branch in ("even", "odd"):
         assert abs(getattr(result, branch).energy - getattr(ref, branch).energy) < 1e-10
 
@@ -688,6 +697,17 @@ class TestCutoffSchedule:
         assert cli.main(["sweep", "--mu", "1", "--branch", "exact"]) == 3
         assert capsys.readouterr().err == f"numerical failure at mu=1: {message}\n"
 
+    def test_first_cutoff_past_the_largest_solves_nothing(self, monkeypatch, capsys):
+        # At mu = 70 the coherent estimate asks for nu_max = 5621 > NU_MAX_LIMIT.
+        cutoffs = _counting_attempts(monkeypatch)
+        message = "the first cutoff, nu_max=5621, exceeds the largest, 5120: nothing was solved"
+        with pytest.raises(CutoffNotConverged, match=f"^{message}$") as info:
+            fock.converged_ground_states(VParams(mu=70.0, n_atoms=1).to_model_params())
+        assert info.value.delta is None
+        assert cli.main(["sweep", "--branch", "exact", "--n-atoms", "1", "--mu", "70"]) == 3
+        assert capsys.readouterr().err == f"numerical failure at mu=70: {message}\n"
+        assert cutoffs == []
+
     def test_nonconverged_minimizer_still_gives_a_row(self, monkeypatch, capsys):
         _assert_nonconverged_minimizer_gives_a_row(monkeypatch, capsys, 1.0)
 
@@ -729,10 +749,10 @@ class TestWarmCertificate:
     @pytest.mark.parametrize(
         "vp, dense_cutoff",
         [
-            # One Lanczos component per sector, started from the ground vector.
+            # One Lanczos component per sector.
             (VParams(mu=1.5, theta=0.8, n_atoms=8), fock.DENSE_CUTOFF),
             # Under the RWA the ground is the vacuum, a block of its own, and
-            # only its prefix is solved for the certificate.
+            # only that block enters the certificate.
             (VParams(mu=0.3, n_atoms=20, rwa=True), 50),
         ],
     )
@@ -756,24 +776,22 @@ class TestWarmCertificate:
 
     def test_certificate_solves_only_the_ground_block(self, monkeypatch):
         # Under the RWA each sector splits into one block per M; the
-        # certificate cuts only the block that holds the sector ground.
+        # certificate is a product with the block that holds the sector
+        # ground, so each cutoff solves once per sector and never again.
         p = _frame_params(AtomicConfiguration.LAMBDA, True, "default", 6, mu=0.4, theta=0.8)
         assert fock.dark_level(p) is None
         solve, calls = fock._lowest_eigenpairs, []
 
-        def recording(blocks, k, start=None):
-            calls.append((blocks, start))
-            return solve(blocks, k, start)
+        def recording(blocks, k):
+            calls.append((len(blocks), k))
+            return solve(blocks, k)
 
         monkeypatch.setattr(fock, "_lowest_eigenpairs", recording)
+        cutoffs = _counting_attempts(monkeypatch)
         result = fock.converged_ground_states(p)
         assert result.delta < fock.CERTIFICATE_DELTA
-        main = [blocks for blocks, start in calls if start is None]
-        certificates = [(blocks, start) for blocks, start in calls if start is not None]
-        assert len(certificates) == len(main) and min(len(blocks) for blocks in main) > 1
-        for blocks, start in certificates:
-            ((part, _),) = blocks
-            assert start.shape == part.shape and start.any()
+        assert len(calls) == 2 * len(cutoffs)
+        assert all(k == 1 for _, k in calls) and min(n for n, _ in calls) > 1
         _assert_delta_matches_dense_leading_block(monkeypatch, p, fock.DENSE_CUTOFF)
 
     def test_ground_block_without_leading_states_is_not_certified(self):
@@ -790,7 +808,16 @@ class TestWarmCertificate:
         p = VParams(mu=1.0).to_model_params()
         result = fock.ground_states(p, fock.TruncatedSpace(2, 5))
         assert result.delta == math.inf
-        assert fock.ground_states(p, fock.TruncatedSpace(2, 5), certify=False).delta is None
+
+    @pytest.mark.parametrize("omega2", (1.0, 0.9))
+    def test_delta_bounds_the_dense_leading_sector_from_above(self, omega2):
+        # Below the converged cutoff the cut ground vector's Rayleigh quotient
+        # lies above the lowest eigenvalue of the nu <= nu_max - 10 sector
+        # (at omega2 = 1 on the bright block, at 0.9 on the full space).
+        p = replace(VParams(mu=1.5, theta=0.8, n_atoms=4).to_model_params(), omega2=omega2)
+        for nu_max in range(12, 31, 2):
+            result = fock.ground_states(p, fock.TruncatedSpace(4, nu_max, fock.dark_level(p)))
+            assert result.delta >= _dense_leading_delta(p, result) >= fock.CERTIFICATE_DELTA
 
     def test_failing_cutoff_is_measured_not_raised(self):
         # nu_max = 12 is far too low at mu = 1.5: the delta says so, and
@@ -805,16 +832,21 @@ def _assert_delta_matches_dense_leading_block(monkeypatch, p, dense_cutoff):
     first = fock.converged_ground_states(p)
     second = fock.converged_ground_states(p)
     assert (first.nu_max, first.delta) == (second.nu_max, second.delta)
-    space = fock.TruncatedSpace(p.n_atoms, first.nu_max, fock.dark_level(p))
+    assert abs(first.delta - _dense_leading_delta(p, first)) < 1e-12
+
+
+def _dense_leading_delta(p, result):
+    """Larger |E - lowest eigenvalue| of the sectors cut to nu <= nu_max - 10, dense."""
+    space = result.even.state.space
     leading = (space.nu_max - 9) * space.atomic_dimension
     solved = p if space.dark_level is None else fock._bright_rotation(p)[0]
     h = fock.build_hamiltonian(solved, space)
     deltas = []
-    for indices, ground in zip(fock.parity_sectors(space, p.config), (first.even, first.odd)):
+    for indices, ground in zip(fock.parity_sectors(space, p.config), (result.even, result.odd)):
         lead = indices[indices < leading]
         dense = h[np.ix_(lead, lead)].toarray()
         deltas.append(abs(ground.energy - scipy.linalg.eigvalsh(dense, subset_by_index=(0, 0))[0]))
-    assert abs(first.delta - max(deltas)) < 1e-12
+    return max(deltas)
 
 
 class TestSacsVectorOracle:

@@ -30,6 +30,19 @@ from helpers import CONFIGS, random_params, random_point, random_sacs_point
 BRANCHES = (ParityBranch.EVEN, ParityBranch.ODD)
 
 
+def test_rejects_a_bad_atom_number_and_a_mismatched_state():
+    point = CoherentPoint(alpha=0.5, gamma2=0.3, gamma3=0.2)
+    with pytest.raises(ValueError, match="n_atoms must be a positive integer"):
+        SacsPoint(point, ParityBranch.EVEN, AtomicConfiguration.V, 0)
+    sp = SacsPoint(point, ParityBranch.EVEN, AtomicConfiguration.V, 2)
+    rng = np.random.default_rng(5)
+    assert math.isfinite(sacs_energy(random_params(rng, AtomicConfiguration.V, 2), sp))
+    with pytest.raises(ValueError, match="configuration mismatch"):
+        sacs_energy(random_params(rng, AtomicConfiguration.XI, 2), sp)
+    with pytest.raises(ValueError, match="atom-number mismatch"):
+        sacs_energy(random_params(rng, AtomicConfiguration.V, 3), sp)
+
+
 class TestKernelAndNorm:
     def test_norm_is_positive(self):
         rng = np.random.default_rng(211)

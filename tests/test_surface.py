@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tricavity import fock
-from tricavity.errors import NoTransitionFound
+from tricavity import fock, surface
+from tricavity.errors import NoTransitionFound, NonConvergence
 from tricavity.model import (
     AtomicConfiguration,
     CoherentPoint,
@@ -113,6 +113,16 @@ class TestMinimization:
         assert crit.rho < 1e-6
         assert abs(crit.energy) < 1e-12
         assert crit.hessian_positive
+
+    def test_no_converged_polish_raises_with_the_best_candidate(self, monkeypatch):
+        p = VParams(mu=1.1, theta=0.6, n_atoms=3).to_model_params()
+        point = minimize_surface(p)
+        polish = surface.minimize
+        monkeypatch.setattr(surface, "minimize", lambda *args: polish(*args)._replace(success=False))
+        minimize_surface.cache_clear()
+        with pytest.raises(NonConvergence, match="no gradient polish converged") as info:
+            minimize_surface(p)
+        assert info.value.best == point
 
     def test_collective_minimum_matches_closed_form(self):
         pairs = [(1.0, math.pi / 4), (0.51, math.pi / 4), (0.6, 0.3), (1.0, 0.2), (1.5, 1.2), (2.2, 0.7)]

@@ -48,6 +48,8 @@ class TestVParams:
             VParams(mu=1.0, omega=0.0)
         with pytest.raises(ValueError):
             VParams(mu=1.0, omega1=1.0, omega3=1.0)
+        with pytest.raises(ValueError):
+            VParams(mu=1.0, n_atoms=0)
 
     def test_critical_coupling(self):
         assert mu_critical(1.0, 1.0, rwa=False) == 0.5
@@ -104,6 +106,43 @@ class TestCollectiveClosedForms:
         doubled = VParams(mu=2.0, rwa=True)
         assert abs(e_min_v(full) - e_min_v(doubled)) < 1e-15
         assert abs(nu_bar(full) - nu_bar(doubled)) < 1e-15
+
+
+class TestNormalRegimeForms:
+    @pytest.mark.parametrize("omega1", (0.0, 0.2))
+    def test_minimum_energy_is_the_ground_level(self, omega1):
+        for n in (1, 3):
+            vp = VParams(mu=0.3, omega1=omega1, n_atoms=n)
+            assert vp.regime() is Regime.NORMAL
+            assert e_min_v(vp) == omega1
+            crit = minimize_surface(vp.to_model_params())
+            assert abs(crit.energy - n * e_min_v(vp)) < 1e-12
+
+    def test_printed_sacs_energies_are_the_limit_energies(self):
+        for n in (1, 2, 5):
+            vp = VParams(mu=0.3, n_atoms=n)
+            for approx in SACS_BRANCHES:
+                limit = limit_observables(vp, approx)["energy"]
+                assert sacs_energy_v(vp, approx.branch) == limit
+
+    def test_guards(self):
+        with pytest.raises(ValueError, match="no parity branch"):
+            Approximation.COHERENT.branch
+        with pytest.raises(ValueError, match="normal regime only"):
+            limit_observables(VParams(mu=1.0), Approximation.SACS_EVEN)
+        with pytest.raises(ValueError, match="nonnegative"):
+            photon_dist_v(VParams(mu=1.0), Approximation.SACS_EVEN, [0, -1])
+        with pytest.raises(ValueError, match=">= 4 rows"):
+            fit_gaussian(np.arange(3), np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match="full Hamiltonian"):
+            sacs_energy_v(VParams(mu=1.0, rwa=True), ParityBranch.EVEN)
+        for vp in (VParams(mu=1.0, omega=1.2), VParams(mu=1.0, omega1=0.1)):
+            with pytest.raises(ValueError, match="is printed for"):
+                sacs_energy_v(vp, ParityBranch.EVEN)
+            with pytest.raises(ValueError, match="is printed for"):
+                photon_dist_v(vp, Approximation.COHERENT, 0)
+            with pytest.raises(ValueError, match="is printed for"):
+                linear_entropy_v(vp, Approximation.SACS_ODD)
 
 
 class TestAdaptedEnergies:
@@ -225,6 +264,20 @@ class TestStatisticsAndEntropy:
         vp = VParams(mu=1.0)
         assert abs(linear_entropy_v(vp, Approximation.SACS_EVEN) - 0.817597) < 1e-5
         assert abs(linear_entropy_v(vp, Approximation.SACS_ODD) - 0.823793) < 1e-5
+
+    def test_printed_entropy_on_both_sides_of_mu_half(self):
+        # The printed expression, evaluated as written, against the two
+        # branches of linear_entropy_v (direct for mu <= 1/2, rescaled above).
+        for n in (1, 2, 3):
+            for mu in (0.1, 0.3, 0.45, 0.5, 0.7, 1.0):
+                a = math.exp(n * (16 * mu**4 - 1) / (4 * mu**2))
+                b = (2 * mu) ** (4 * n)
+                c = (2 * mu) ** (2 * n) * math.exp(n * (8 * mu**4 - 1) / (4 * mu**2))
+                for approx, sign in zip(SACS_BRANCHES, (1, -1)):
+                    printed = (1 - a) * (1 - b) / (2 * (1 + sign * c) ** 2)
+                    value = linear_entropy_v(VParams(mu=mu, n_atoms=n), approx)
+                    assert abs(value - printed) <= 1e-12 * max(1.0, abs(printed))
+        assert linear_entropy_v(VParams(mu=0.0), Approximation.SACS_EVEN) == 0.5
 
     def test_direct_entropy_approaches_half_from_below(self):
         previous = {b: 0.0 for b in (ParityBranch.EVEN, ParityBranch.ODD)}
