@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from functools import cache, partial
 
 import numpy as np
@@ -202,13 +203,6 @@ def _evaluate_point(params: ModelParams, approxes, nu_max: int | None) -> dict:
     return row
 
 
-def _evaluate_point_safe(params: ModelParams, approxes, nu_max: int | None):
-    try:
-        return _evaluate_point(params, approxes, nu_max)
-    except (TricavityError, ValueError, ArithmeticError) as exc:
-        return exc
-
-
 def _fmt(value, na: str) -> str:
     if value is None:
         return na
@@ -221,11 +215,7 @@ def _fmt(value, na: str) -> str:
 
 def _emit(args, metadata: dict, columns: list[str], rows: list[list]) -> None:
     if args.format == "json":
-        payload = {
-            "metadata": metadata,
-            "columns": columns,
-            "rows": rows,
-        }
+        payload = {"metadata": metadata, "columns": columns, "rows": rows}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         na = getattr(args, "na", None)  # only sweep and phase-boundary take --na
@@ -238,9 +228,12 @@ def _emit(args, metadata: dict, columns: list[str], rows: list[list]) -> None:
         text = "\n".join(lines) + "\n"
     if args.out in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.out, "w") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"--out {args.out}: {exc.strerror}") from None
 
 
 def _base_metadata(args, command: str) -> dict:
@@ -256,32 +249,38 @@ def _base_metadata(args, command: str) -> dict:
     }
 
 
-def _single_point(args, parser, command: str) -> tuple[ModelParams, dict]:
+def _single_point(args, command: str) -> tuple[ModelParams, dict]:
     """Parameters and metadata of a command that takes one coupling point."""
     mu = _parse_axis(args.mu, "--mu")
     theta = _parse_axis(args.theta, "--theta")
     atoms = _parse_atoms(args.n_atoms)
     if len(mu) > 1 or len(theta) > 1 or len(atoms) > 1:
-        parser.error(f"{command} takes single --mu, --theta and --n-atoms values")
+        raise argparse.ArgumentTypeError(
+            f"{command} takes single --mu, --theta and --n-atoms values"
+        )
     metadata = _base_metadata(args, command)
     metadata.update({"mu": mu[0], "theta": theta[0], "n_atoms": atoms[0]})
     return _make_params(args, mu[0], theta[0], atoms[0]), metadata
 
 
-def cmd_sweep(args, parser) -> int:
+def cmd_sweep(args) -> int:
     mu_axis = _parse_axis(args.mu, "--mu")
     theta_axis = _parse_axis(args.theta, "--theta")
     atoms_axis = _parse_atoms(args.n_atoms)
     axes = {"mu": mu_axis, "theta": theta_axis, "n_atoms": atoms_axis}
     swept = [name for name, axis in axes.items() if len(axis) > 1]
     if len(swept) > 1:
-        parser.error(f"only one axis may carry a grid; got ranges for {swept}")
+        raise argparse.ArgumentTypeError(
+            f"only one axis may carry a grid; got ranges for {swept}"
+        )
     grid_var = swept[0] if swept else "mu"
     approxes = args.branch
     outputs = args.outputs
     if args.nu_max is not None:
         if "exact" not in approxes:
-            parser.error("--nu-max is the exact branch's cutoff; --branch has no exact")
+            raise argparse.ArgumentTypeError(
+                "--nu-max is the exact branch's cutoff; --branch has no exact"
+            )
         frame = _make_params(args, mu_axis[0], theta_axis[0], max(atoms_axis))
         _checked_space(frame.n_atoms, args.nu_max, fock.dark_level(frame))
 
@@ -299,22 +298,16 @@ def cmd_sweep(args, parser) -> int:
         if approx == "exact":
             columns.append("exact_parity")
 
-    evaluate = partial(_evaluate_point_safe, approxes=approxes, nu_max=args.nu_max)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(evaluate, points))
-    else:
-        results = [evaluate(params) for params in points]
-
-    rows = []
-    for value, outcome in zip(values, results):
-        if isinstance(outcome, Exception):
-            print(
-                f"numerical failure at {grid_var}={value:.6g}: {outcome}",
-                file=sys.stderr,
-            )
+    evaluate = partial(_evaluate_point, approxes=approxes, nu_max=args.nu_max)
+    rows = []  # rows[k] is the row of points[k], so a failure is at values[len(rows)]
+    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        try:
+            for row in (pool.map if pool else map)(evaluate, points):
+                rows.append([values[len(rows)], *(row.get(col) for col in columns[1:])])
+        except (TricavityError, ValueError, ArithmeticError) as exc:
+            value = values[len(rows)]
+            print(f"numerical failure at {grid_var}={value:.6g}: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
-        rows.append([value, *(outcome.get(col) for col in columns[1:])])
 
     metadata = _base_metadata(args, "sweep")
     metadata.update(
@@ -332,20 +325,19 @@ def cmd_sweep(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_phase_boundary(args, parser) -> int:
-    parts = args.mu.split(":")
-    if len(parts) != 2:
-        parser.error(f"--mu must be lo:hi for phase-boundary, got {args.mu!r}")
+def cmd_phase_boundary(args) -> int:
     try:
-        mu_lo, mu_hi = float(parts[0]), float(parts[1])
+        mu_lo, mu_hi = map(float, args.mu.split(":"))
+        if not mu_lo < mu_hi:
+            raise ValueError
     except ValueError:
-        parser.error(f"--mu must be lo:hi for phase-boundary, got {args.mu!r}")
-    if not mu_lo < mu_hi:
-        parser.error(f"--mu must be lo:hi with lo < hi, got {args.mu!r}")
+        raise argparse.ArgumentTypeError(
+            f"--mu must be lo:hi with lo < hi for phase-boundary, got {args.mu!r}"
+        ) from None
     theta = _parse_axis(args.theta, "--theta")
     atoms = _parse_atoms(args.n_atoms)
     if len(theta) > 1 or len(atoms) > 1:
-        parser.error("phase-boundary takes single --theta and --n-atoms values")
+        raise argparse.ArgumentTypeError("phase-boundary takes single --theta and --n-atoms values")
 
     def make(mu):
         return _make_params(args, mu, theta[0], atoms[0])
@@ -363,23 +355,23 @@ def cmd_phase_boundary(args, parser) -> int:
             "tolerance": args.tol,
         }
     )
-    _emit(
-        args,
-        metadata,
-        ["numeric_boundary", "analytic_boundary"],
-        [[numeric, analytic]],
-    )
+    _emit(args, metadata, ["numeric_boundary", "analytic_boundary"], [[numeric, analytic]])
     return EXIT_OK
 
 
-def cmd_photon_dist(args, parser) -> int:
-    params, metadata = _single_point(args, parser, "photon-dist")
+def cmd_photon_dist(args) -> int:
+    params, metadata = _single_point(args, "photon-dist")
     approxes = args.branch
     point = surface.minimize_surface(params).as_point()
     alpha_sq = abs(point.alpha) ** 2
-    top = int(math.ceil(alpha_sq + 12.0 * math.sqrt(alpha_sq + 1.0) + 25.0))
-    if args.nu_max is not None:
-        top = args.nu_max
+    top = args.nu_max
+    if top is None:
+        top = int(math.ceil(alpha_sq + 12.0 * math.sqrt(alpha_sq + 1.0) + 25.0))
+        if top >= fock.MAX_DIMENSION:
+            raise argparse.ArgumentTypeError(
+                f"the default table runs to nu = {top}, past {fock.MAX_DIMENSION} rows; "
+                "--nu-max sets a shorter one"
+            )
     if args.fit and top < 3:
         raise argparse.ArgumentTypeError(f"--fit needs at least 4 rows, got --nu-max {top}")
     nus = np.arange(top + 1)
@@ -410,8 +402,8 @@ def cmd_photon_dist(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(args, parser) -> int:
-    params, metadata = _single_point(args, parser, "spectrum")
+def cmd_spectrum(args) -> int:
+    params, metadata = _single_point(args, "spectrum")
     space = _checked_space(params.n_atoms, args.nu_max)
     rows = []
     spectra = fock.sector_spectrum(params, space, k=args.k)
@@ -424,7 +416,7 @@ def cmd_spectrum(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args, parser) -> int:
+def cmd_validate(args) -> int:
     results = checks.run_checks(args.level)
     failed = False
     for res in results:
@@ -629,10 +621,10 @@ def main(argv=None) -> int:
             print(f"bad config file: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT
         args = parser.parse_args([argv[0]] + injected + argv[1:])
-    if getattr(args, "format", None) == "json" and getattr(args, "na", None) is not None:
-        parser.error("--na is the CSV sentinel; JSON writes null")
     try:
-        return args.func(args, parser)
+        if getattr(args, "format", None) == "json" and getattr(args, "na", None) is not None:
+            raise argparse.ArgumentTypeError("--na is the CSV sentinel; JSON writes null")
+        return args.func(args)
     except argparse.ArgumentTypeError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

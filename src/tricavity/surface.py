@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoTransitionFound, NonConvergence
+from .errors import NoTransitionFound, NonConvergence, TricavityError
 from .model import (
     CoherentPoint,
     ModelParams,
@@ -280,10 +280,14 @@ def minimize_surface(params: ModelParams) -> CriticalPoint:
     inside one lattice cell), starts a projected-Newton polish (`minimize`).
     The lowest wins, ties broken lexicographically. One entry is cached (the
     exact solve seeds its cutoff from it); NonConvergence is never cached.
+    A lattice that overflows floats raises TricavityError, not NonConvergence.
     """
     bound = max(4.0, 4.0 * max(params.mu12, params.mu13, params.mu23) / params.omega)
-    axis = np.linspace(0.0, bound, 64)
-    lattice = _profile(params, axis[:, None], axis[None, :])
+    with np.errstate(all="ignore"):  # an overflow is reported once, below
+        axis = np.linspace(0.0, bound, 64)
+        lattice = _profile(params, axis[:, None], axis[None, :])
+    if not np.isfinite(lattice).all():
+        raise TricavityError(f"the coherent surface overflows floats on [0, {bound:.6g}]^2")
     starts = [*(axis[site] for site in _lattice_minima(lattice)), _soft_line_start(params, bound)]
     polishes = [minimize(params, x0) for x0 in starts]
     _, r, r2, r3 = min((_profile(params, *x), _field_radius(params, *x), *x) for x, _ in polishes)

@@ -303,6 +303,35 @@ class TestSweep:
     def test_two_grids_rejected(self):
         run_cli("sweep", "--mu", "0:1:3", "--theta", "0:1:3", expect=2)
 
+    def test_serial_sweep_stops_at_its_first_failing_point(self, monkeypatch):
+        # mu = 70 fails; 60, 50 and 40 would certify, and none of them runs.
+        solve, solves = fock.converged_ground_states, []
+
+        def counted(params):
+            solves.append(params)
+            return solve(params)
+
+        monkeypatch.setattr(fock, "converged_ground_states", counted)
+        args = ("sweep", "--branch", "exact", "--n-atoms", "1", "--mu", "70:40:4")
+        proc = run_cli(*args, expect=3)
+        assert len(solves) == 1
+        line = (
+            "numerical failure at mu=70: the first cutoff, nu_max=5621, exceeds the "
+            "largest, 5120: nothing was solved\n"
+        )
+        assert (proc.stdout, proc.stderr) == ("", line)
+        parallel = run_cli_process(*args, "--jobs", "2", expect=3)
+        assert (parallel.stdout, parallel.stderr) == ("", line)
+
+    @pytest.mark.parametrize("name", ["missing/table.csv", "."])
+    def test_unwritable_out_is_bad_input(self, tmp_path, name):
+        # A missing directory and a directory itself.
+        target = tmp_path / name
+        proc = run_cli("sweep", "--mu", "1", "--branch", "coherent", "--out", str(target),
+                       expect=2)
+        assert proc.stderr.startswith(f"bad input: --out {target}: ")
+        assert "Traceback" not in proc.stderr
+
     def test_out_file(self, tmp_path):
         target = tmp_path / "table.csv"
         run_cli("sweep", "--mu", "0.4", "--branch", "even", "--outputs", "energy",
@@ -355,6 +384,40 @@ class TestSweep:
 def test_bad_input_exits_2(args):
     proc = run_cli(*args, expect=2)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("spectrum", "--mu", "0:1:3"),
+        ("sweep", "--mu", "0:1:3", "--theta", "0:1:3"),
+        ("sweep", "--mu", "1", "--branch", "coherent", "--nu-max", "40"),
+        ("phase-boundary", "--mu", "1"),
+        ("phase-boundary", "--mu", "a:b"),
+        ("phase-boundary", "--mu", "1:0.1"),
+        ("phase-boundary", "--theta", "0:1:3"),
+        ("sweep", "--format", "json", "--na", "X"),
+    ],
+)
+def test_rejection_after_parsing_is_one_line(args):
+    # Checks made once argparse has parsed the flags print no usage.
+    stderr = run_cli(*args, expect=2).stderr
+    assert stderr.startswith("bad input: ") and stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("sweep", "--mu", "1e308", "--branch", "coherent"),
+        ("phase-boundary", "--mu", "0:1e160"),
+        ("phase-boundary", "--omega", "1e-300"),
+        ("photon-dist", "--mu", "1e160", "--nu-max", "5"),
+        ("photon-dist", "--omega", "1e-300", "--mu", "1"),
+    ],
+)
+def test_overflowing_surface_is_numerical_failure(args):
+    stderr = run_cli(*args, expect=3).stderr
+    assert "the coherent surface overflows" in stderr and stderr.count("\n") == 1
 
 
 class TestConfigFile:
@@ -470,6 +533,13 @@ class TestPhotonDist:
             size = max(oracle.size, table.size)
             oracle, table = (np.pad(p, (0, size - p.size)) for p in (oracle, table))
             assert np.max(np.abs(table - oracle)) < 1e-12
+
+    def test_default_table_past_the_basis_limit_is_bad_input(self):
+        # |alpha|^2 is about 2e10 here: the default table would have 2e10 rows.
+        proc = run_cli("photon-dist", "--mu", "1e5", expect=2)
+        assert "--nu-max sets a shorter one" in proc.stderr
+        _, header, rows = parse_csv(run_cli("photon-dist", "--mu", "1e5", "--nu-max", "5").stdout)
+        assert column(header, rows, "nu") == [0, 1, 2, 3, 4, 5]
 
     def test_exact_column_available(self):
         proc = run_cli(

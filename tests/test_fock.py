@@ -745,7 +745,7 @@ def _assert_nonconverged_minimizer_gives_a_row(monkeypatch, capsys, omega2):
     assert capsys.readouterr().out == expected
 
 
-class TestWarmCertificate:
+class TestCertificate:
     @pytest.mark.parametrize(
         "vp, dense_cutoff",
         [
@@ -756,8 +756,10 @@ class TestWarmCertificate:
             (VParams(mu=0.3, n_atoms=20, rwa=True), 50),
         ],
     )
-    def test_delta_matches_dense_leading_block(self, monkeypatch, vp, dense_cutoff):
-        _assert_delta_matches_dense_leading_block(monkeypatch, vp.to_model_params(), dense_cutoff)
+    def test_both_deltas_certify_and_agree_at_the_converged_cutoff(
+        self, monkeypatch, vp, dense_cutoff
+    ):
+        _assert_both_deltas_certify_and_agree(monkeypatch, vp.to_model_params(), dense_cutoff)
 
     @pytest.mark.parametrize(
         "vp, dense_cutoff",
@@ -766,13 +768,13 @@ class TestWarmCertificate:
             (VParams(mu=0.3, n_atoms=20, rwa=True), 50),
         ],
     )
-    def test_delta_matches_dense_leading_block_on_full_space(
+    def test_both_deltas_certify_and_agree_at_the_converged_cutoff_on_full_space(
         self, monkeypatch, vp, dense_cutoff
     ):
         # The same cases at omega2 = 0.9, where the full space is solved.
         p = replace(vp.to_model_params(), omega2=0.9)
         assert fock.dark_level(p) is None
-        _assert_delta_matches_dense_leading_block(monkeypatch, p, dense_cutoff)
+        _assert_both_deltas_certify_and_agree(monkeypatch, p, dense_cutoff)
 
     def test_certificate_solves_only_the_ground_block(self, monkeypatch):
         # Under the RWA each sector splits into one block per M; the
@@ -792,7 +794,7 @@ class TestWarmCertificate:
         assert result.delta < fock.CERTIFICATE_DELTA
         assert len(calls) == 2 * len(cutoffs)
         assert all(k == 1 for _, k in calls) and min(n for n, _ in calls) > 1
-        _assert_delta_matches_dense_leading_block(monkeypatch, p, fock.DENSE_CUTOFF)
+        _assert_both_deltas_certify_and_agree(monkeypatch, p, fock.DENSE_CUTOFF)
 
     def test_ground_block_without_leading_states_is_not_certified(self):
         # A nearly free field under the RWA puts each sector's ground in a
@@ -827,7 +829,13 @@ class TestWarmCertificate:
         assert math.isfinite(result.delta) and result.delta >= fock.CERTIFICATE_DELTA
 
 
-def _assert_delta_matches_dense_leading_block(monkeypatch, p, dense_cutoff):
+def _assert_both_deltas_certify_and_agree(monkeypatch, p, dense_cutoff):
+    """At the converged cutoff, where delta certifies, it agrees with the dense one within 1e-12.
+
+    Both sit at rounding level there, so delta >= dense delta need not hold;
+    `test_delta_bounds_the_dense_leading_sector_from_above` checks that bound
+    below convergence.
+    """
     monkeypatch.setattr(fock, "DENSE_CUTOFF", dense_cutoff)
     first = fock.converged_ground_states(p)
     second = fock.converged_ground_states(p)

@@ -8,7 +8,7 @@ the other, and prints per invocation the sha256 of its stdout, the sha256 of
 its stderr, its exit code and its arguments. TREE defaults to the tree that
 holds this script. Two trees print byte-identical output exactly when
 `diff` of their two listings is empty. It is a script, not a test: the
-comparison needs a second tree, and a run starts 28 interpreters (about
+comparison needs a second tree, and a run starts 34 interpreters (about
 20 s on a 2-core x86-64 VM).
 """
 
@@ -49,6 +49,13 @@ INVOCATIONS = (
     "sweep --atom-config lambda --rwa --mu 0.4 --theta 0.8 --n-atoms 2,6,10 --branch exact",
     "sweep --atom-config xi --mu 1.5 --theta 0.8 --n-atoms 2,5,8,10 --branch exact",
     "sweep --branch exact --mu 1.5 --theta 0.8 --omega2 0.9 --n-atoms 6,8",
+    # Failure paths: exit 2 for bad input, 3 for a numerical failure.
+    "sweep --mu 0:1:3 --theta 0:1:3",
+    "phase-boundary --mu 1",
+    "phase-boundary --mu 0:1e160",
+    "photon-dist --mu 1e160 --nu-max 5",
+    "sweep --mu 1 --branch coherent --out /nonexistent/dir/x.csv",
+    "sweep --branch exact --n-atoms 1 --mu 70:40:4",
 )
 
 
