@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -624,6 +625,12 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "format", None) == "json" and getattr(args, "na", None) is not None:
             raise argparse.ArgumentTypeError("--na is the CSV sentinel; JSON writes null")
+        out = getattr(args, "out", None)  # checked here so that a bad path costs no computing
+        if out not in (None, "-"):
+            if not os.path.exists(os.path.dirname(out) or "."):
+                raise argparse.ArgumentTypeError(f"--out {out}: No such file or directory")
+            if os.path.isdir(out):
+                raise argparse.ArgumentTypeError(f"--out {out}: Is a directory")
         return args.func(args)
     except argparse.ArgumentTypeError as exc:
         print(f"bad input: {exc}", file=sys.stderr)

@@ -366,31 +366,6 @@ def build_sacs_vector(
     return StateVector(space=space, data=psi.ravel())
 
 
-def _lowest_eigenpairs(blocks, k: int) -> list[tuple[float, int, np.ndarray]]:
-    """Lowest k (eigenvalue, block number, eigenvector on the block) of (indices, block) pairs.
-
-    Each block is solved on its own: dense when it has at most DENSE_CUTOFF
-    states or k is at least 1/16 of its size (where dense was measured
-    faster, and which keeps eigsh away from k near n), else Lanczos from a
-    fixed start vector, so that repeated solves agree bit for bit. A block
-    of `_blocks` has off-diagonals <= 0, so its ground state is positive and
-    overlaps the positive start vector; the entries are unequal because a
-    uniform vector misses states odd under a level exchange. The triples of
-    all blocks are merged by a stable sort on the eigenvalue.
-    """
-    triples = []
-    for number, (part, sub) in enumerate(blocks):
-        n = part.size
-        kk = min(k, n)
-        if n <= DENSE_CUTOFF or 16 * kk >= n:
-            vals, vecs = scipy.linalg.eigh(sub.toarray(), subset_by_index=(0, kk - 1))
-        else:
-            v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
-            vals, vecs = eigsh(sub, k=kk, which="SA", v0=v0)
-        triples.extend((value, number, vec) for value, vec in zip(vals, vecs.T))
-    return sorted(triples, key=lambda triple: triple[0])[:k]
-
-
 @dataclass
 class SectorGround:
     energy: float
@@ -442,18 +417,27 @@ class GroundStateResult:
         return self.even if self.even.energy <= self.odd.energy else self.odd
 
 
-def _blocks(params: ModelParams, space: TruncatedSpace):
-    """(even, odd) lists of (indices, H block), one per connected block of H.
+def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
+    """(even, odd) lists of the lowest k (eigenvalue, indices, H block, eigenvector on it).
 
     H is built once and its coupling graph searched once, on H itself:
     `build_hamiltonian` stores no zeros, so its stored entries are the
-    edges. H keeps the excitation parity, so each block lies in one sector,
-    and it is filed under the parity of its first member. Under the RWA the
-    blocks are those of fixed M, and the vacuum is a block of its own: a
-    Lanczos run on a whole sector would miss it, so every block is solved
-    on its own. H is permuted once, members grouped by block in index
-    order, so that each block is a contiguous diagonal slice of it. On a
-    bright block H is that of the rotated parameters.
+    edges. H keeps the excitation parity, so each connected block lies in
+    one sector, that of its first member. Under the RWA the blocks are
+    those of fixed M, and the vacuum is a block of its own: a Lanczos run on
+    a whole sector would miss it, so every block is solved on its own. H is
+    permuted once, members grouped by block in index order, so that each
+    block is a contiguous diagonal slice of it. On a bright block H is that
+    of the rotated parameters.
+
+    A block is solved dense when it has at most DENSE_CUTOFF states or k is
+    at least 1/16 of its size (where dense was measured faster, and which
+    keeps eigsh away from k near n), else by Lanczos from a fixed start
+    vector, so that repeated solves agree bit for bit. A connected block has
+    off-diagonals <= 0, so its ground state is positive and overlaps the
+    positive start vector; the entries are unequal because a uniform vector
+    misses states odd under a level exchange. The eigenpairs of each sector
+    are merged by a stable sort on the eigenvalue.
     """
     if space.dark_level is not None:
         if space.dark_level != dark_level(params):
@@ -465,12 +449,18 @@ def _blocks(params: ModelParams, space: TruncatedSpace):
     _, labels = connected_components(h, directed=False)
     members = np.argsort(labels, kind="stable")
     ends = np.cumsum(np.bincount(labels))
-    permuted = h[members][:, members]
+    h = h[members][:, members]  # rebound, so that the unpermuted H is freed
     sectors = ([], [])
     for part, end in zip(np.split(members, ends[:-1]), ends):
-        block = permuted[end - part.size : end, end - part.size : end]
-        sectors[parity[part[0]]].append((part, block))
-    return sectors
+        n = part.size
+        block = h[end - n : end, end - n : end]
+        if n <= DENSE_CUTOFF or 16 * k >= n:
+            vals, vecs = scipy.linalg.eigh(block.toarray(), subset_by_index=(0, min(k, n) - 1))
+        else:
+            v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+            vals, vecs = eigsh(block, k=k, which="SA", v0=v0)
+        sectors[parity[part[0]]].extend((val, part, block, vec) for val, vec in zip(vals, vecs.T))
+    return tuple(sorted(sector, key=lambda entry: entry[0])[:k] for sector in sectors)
 
 
 def ground_states(params: ModelParams, space: TruncatedSpace) -> GroundStateResult:
@@ -479,7 +469,7 @@ def ground_states(params: ModelParams, space: TruncatedSpace) -> GroundStateResu
     The space is the full one or the bright block of the parameters' frame
     (`TruncatedSpace(n, nu_max, dark_level(params))`); the states live on it.
     The delta of a sector compares its energy E with the Rayleigh quotient
-    x.Hx / x.x, where H is the block the solver names for its ground and x
+    x.Hx / x.x, where H is the block that holds the sector ground and x
     the ground vector with every state of nu > nu_max - 10 set to zero; the
     result carries the larger |x.Hx / x.x - E| of the two sectors. Where x
     is zero, as at every cutoff below 10, the delta is infinite. Only
@@ -490,9 +480,8 @@ def ground_states(params: ModelParams, space: TruncatedSpace) -> GroundStateResu
     """
     leading = (space.nu_max - 9) * space.atomic_dimension
     grounds, deltas = [], []
-    for branch, blocks in zip(ParityBranch, _blocks(params, space)):
-        ((energy, number, vec),) = _lowest_eigenpairs(blocks, 1)
-        part, block = blocks[number]
+    sectors = _lowest_eigenpairs(params, space, 1)
+    for branch, ((energy, part, block, vec),) in zip(ParityBranch, sectors):
         pivot = vec[np.argmax(np.abs(vec))]  # the phase makes the largest entry positive
         data = np.zeros(space.dimension, dtype=complex)
         data[part] = vec * (abs(pivot) / pivot)
@@ -500,8 +489,7 @@ def ground_states(params: ModelParams, space: TruncatedSpace) -> GroundStateResu
         x = np.where(part < leading, vec, 0.0)
         norm = x @ x
         deltas.append(abs(x @ (block @ x) / norm - energy) if norm else math.inf)
-    even, odd = grounds
-    return GroundStateResult(even, odd, space.nu_max, float(max(deltas)))
+    return GroundStateResult(*grounds, space.nu_max, float(max(deltas)))
 
 
 def converged_ground_states(params: ModelParams) -> GroundStateResult:
@@ -548,10 +536,8 @@ def sector_spectrum(
     params: ModelParams, space: TruncatedSpace, k: int = 6
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenvalues of the even and of the odd sector, from one H build."""
-    return tuple(
-        np.array([value for value, _, _ in _lowest_eigenpairs(blocks, k)])
-        for blocks in _blocks(params, space)
-    )
+    sectors = _lowest_eigenpairs(params, space, k)
+    return tuple(np.array([entry[0] for entry in sector]) for sector in sectors)
 
 
 def excitation_rotation_deviation(

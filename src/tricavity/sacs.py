@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .errors import DegenerateState, IndeterminateQ
+from .errors import DegenerateState, IndeterminateQ, TricavityError
 from .model import (
     AtomicConfiguration,
     CoherentPoint,
@@ -170,7 +170,13 @@ def expect_photon_moments(sp: SacsPoint) -> tuple[float, float]:
     """Normalized <a'a> and <(a'a)^2> = <a'^2 a^2> + <a'a>."""
     kr = sp._kernel_checked()
     first = _photons(sp)
-    return first / kr, (sp._term(sp.alpha_sq**2, 1, 0) + first) / kr
+    try:
+        alpha_sq_squared = sp.alpha_sq**2
+    except OverflowError:
+        raise TricavityError(
+            f"the SACS photon moments overflow floats at |alpha|^2 = {sp.alpha_sq:.6e}"
+        ) from None
+    return first / kr, (sp._term(alpha_sq_squared, 1, 0) + first) / kr
 
 
 def expect_photon_population_product(sp: SacsPoint, i: int) -> float:

@@ -324,13 +324,19 @@ class TestSweep:
         assert (parallel.stdout, parallel.stderr) == ("", line)
 
     @pytest.mark.parametrize("name", ["missing/table.csv", "."])
-    def test_unwritable_out_is_bad_input(self, tmp_path, name):
-        # A missing directory and a directory itself.
+    def test_unwritable_out_is_bad_input(self, monkeypatch, tmp_path, name):
+        # A missing directory and a directory itself, both found before any point runs.
+        points = []
+        monkeypatch.setattr(cli, "_evaluate_point", lambda *args, **kwargs: points.append(args))
         target = tmp_path / name
-        proc = run_cli("sweep", "--mu", "1", "--branch", "coherent", "--out", str(target),
-                       expect=2)
-        assert proc.stderr.startswith(f"bad input: --out {target}: ")
-        assert "Traceback" not in proc.stderr
+        reason = "Is a directory" if name == "." else "No such file or directory"
+        proc = run_cli("sweep", "--out", str(target), expect=2)
+        assert (proc.stdout, proc.stderr) == ("", f"bad input: --out {target}: {reason}\n")
+        assert points == []
+
+    def test_out_dash_is_stdout(self):
+        args = ("sweep", "--mu", "0.4", "--branch", "even", "--outputs", "energy")
+        assert run_cli(*args, "--out", "-").stdout == run_cli(*args).stdout
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "table.csv"
@@ -418,6 +424,17 @@ def test_rejection_after_parsing_is_one_line(args):
 def test_overflowing_surface_is_numerical_failure(args):
     stderr = run_cli(*args, expect=3).stderr
     assert "the coherent surface overflows" in stderr and stderr.count("\n") == 1
+
+
+def test_sacs_photon_moment_overflow_is_numerical_failure():
+    # The even and odd <(a'a)^2> square |alpha|^2 = 2e200; the coherent branch alone prints.
+    proc = run_cli("sweep", "--branch", "coherent,even,odd", "--mu", "1e100", expect=3)
+    assert (proc.stdout, proc.stderr) == ("", (
+        "numerical failure at mu=1e+100: the SACS photon moments overflow floats at "
+        "|alpha|^2 = 2.000000e+200\n"
+    ))
+    _, header, rows = parse_csv(run_cli("sweep", "--branch", "coherent", "--mu", "1e100").stdout)
+    assert header[1] == "coherent_energy" and len(rows) == 1
 
 
 class TestConfigFile:

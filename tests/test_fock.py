@@ -271,7 +271,7 @@ class TestIndexAssembly:
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.value)
     def test_counter_rotating_part_is_full_minus_rwa(self, config):
-        # Also: H stores no zeros (`_blocks` searches its structure), in the
+        # Also: H stores no zeros (`_lowest_eigenpairs` searches its structure), in the
         # default frame's zero ground energy, at mu = 0 and at theta = 0,
         # where one coupling is zero.
         cases = (("default", 1.3, 0.7), ("shifted", 1.3, 0.7), ("shifted", 0.0, 0.7))
@@ -417,31 +417,44 @@ class TestBrightBlock:
             space = fock.TruncatedSpace(n, 24)
             n_dark = np.array(space.occupations)[:, dark - 1]
             bright = fock.ground_states(p, fock.TruncatedSpace(n, 24, dark))
-            for blocks, ground in zip(fock._blocks(rotated, space), (bright.even, bright.odd)):
+            # With k the whole dimension, every eigenvalue of every block is listed.
+            sectors = fock._lowest_eigenpairs(rotated, space, space.dimension)
+            for sector, ground in zip(sectors, (bright.even, bright.odd)):
                 lowest = {}
-                for part, sub in blocks:
+                for energy, part, _, _ in sector:
                     (k,) = set(n_dark[part % space.atomic_dimension])
-                    ((energy, _, _),) = fock._lowest_eigenpairs([(part, sub)], 1)
                     lowest[k] = min(lowest.get(k, math.inf), energy)
                 assert lowest[1] >= lowest[0] - 1e-12 * max(1.0, abs(lowest[0]))
                 assert abs(lowest[0] - ground.energy) <= 1e-10 * max(1.0, abs(ground.energy))
 
 
 class TestBlocks:
-    @pytest.mark.parametrize("case", ("v", "v-rwa", "xi-rwa"))
+    @pytest.mark.parametrize("case", ("v", "v-rwa", "xi-rwa", "v-mu0", "lambda-rwa"))
     def test_blocks_are_parity_tagged_index_slices(self, case):
         # Rotated onto its bright level, the V space splits by n_d (and by M
         # under the RWA); each permuted slice must equal the fancy-index one.
+        # At mu = 0 every state is a block of its own, and so is each M = 0
+        # state of Lambda under the RWA (omega2 != omega1, no dark level).
         if case == "xi-rwa":
             p = _frame_params(AtomicConfiguration.XI, True, "default", 3)
             space = fock.TruncatedSpace(3, 20)
+        elif case == "lambda-rwa":
+            p = _frame_params(AtomicConfiguration.LAMBDA, True, "shifted", 3)
+            space = fock.TruncatedSpace(3, 20)
+        elif case == "v-mu0":
+            p = VParams(mu=0.0, theta=0.7, n_atoms=4).to_model_params()
+            space = fock.TruncatedSpace(4, 20)
         else:
             vp = VParams(mu=1.3, theta=0.7, n_atoms=4, rwa=case == "v-rwa")
             p = fock._bright_rotation(vp.to_model_params())[0]
             space = fock.TruncatedSpace(4, 20)
         h = fock.build_hamiltonian(p, space)
         m = fock.m_diagonal(space, p.config)
-        sectors = fock._blocks(p, space)
+        # With k the whole dimension, every block appears, once per eigenvalue.
+        sectors = [
+            list({part[0]: (part, sub) for _, part, sub, _ in entries}.values())
+            for entries in fock._lowest_eigenpairs(p, space, space.dimension)
+        ]
         assert sum(map(len, sectors)) > 2
         members = []
         for parity, blocks in enumerate(sectors):
@@ -453,6 +466,11 @@ class TestBlocks:
                 assert _same_arrays(sub, h[np.ix_(part, part)])
                 members.append(part)
         assert np.array_equal(np.sort(np.concatenate(members)), np.arange(space.dimension))
+        if case == "v-mu0":
+            assert len(members) == space.dimension
+        if case == "lambda-rwa":
+            zero = [part for part in members if m[part[0]] == 0]
+            assert len(zero) == space.n_atoms + 1 and all(part.size == 1 for part in zero)
 
     def test_one_hamiltonian_and_one_graph_search_per_call(self, monkeypatch):
         calls = {"build_hamiltonian": 0, "connected_components": 0}
@@ -779,21 +797,39 @@ class TestCertificate:
     def test_certificate_solves_only_the_ground_block(self, monkeypatch):
         # Under the RWA each sector splits into one block per M; the
         # certificate is a product with the block that holds the sector
-        # ground, so each cutoff solves once per sector and never again.
+        # ground, so each cutoff solves each block once and never again.
         p = _frame_params(AtomicConfiguration.LAMBDA, True, "default", 6, mu=0.4, theta=0.8)
         assert fock.dark_level(p) is None
+        solves, blocks = [], []
+
+        def recorded(module, name, record):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                out = original(*args, **kwargs)
+                record(out)
+                return out
+
+            monkeypatch.setattr(module, name, counted)
+
+        recorded(scipy.linalg, "eigh", solves.append)
+        recorded(fock, "eigsh", solves.append)
+        recorded(fock, "connected_components", lambda out: blocks.append(out[0]))
         solve, calls = fock._lowest_eigenpairs, []
 
-        def recording(blocks, k):
-            calls.append((len(blocks), k))
-            return solve(blocks, k)
+        def recording(params, space, k):
+            before = len(solves)
+            out = solve(params, space, k)
+            calls.append((len(solves) - before, k))
+            return out
 
         monkeypatch.setattr(fock, "_lowest_eigenpairs", recording)
         cutoffs = _counting_attempts(monkeypatch)
         result = fock.converged_ground_states(p)
         assert result.delta < fock.CERTIFICATE_DELTA
-        assert len(calls) == 2 * len(cutoffs)
-        assert all(k == 1 for _, k in calls) and min(n for n, _ in calls) > 1
+        assert len(calls) == len(cutoffs) and sum(n for n, _ in calls) == len(solves)
+        assert [n for n, _ in calls] == blocks
+        assert all(k == 1 for _, k in calls) and min(n for n, _ in calls) > 2
         _assert_both_deltas_certify_and_agree(monkeypatch, p, fock.DENSE_CUTOFF)
 
     def test_ground_block_without_leading_states_is_not_certified(self):

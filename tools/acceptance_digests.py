@@ -8,8 +8,8 @@ the other, and prints per invocation the sha256 of its stdout, the sha256 of
 its stderr, its exit code and its arguments. TREE defaults to the tree that
 holds this script. Two trees print byte-identical output exactly when
 `diff` of their two listings is empty. It is a script, not a test: the
-comparison needs a second tree, and a run starts 34 interpreters (about
-20 s on a 2-core x86-64 VM).
+comparison needs a second tree, and a run starts 37 interpreters (about
+25 s on a 2-core x86-64 VM).
 """
 
 from __future__ import annotations
@@ -56,6 +56,11 @@ INVOCATIONS = (
     "photon-dist --mu 1e160 --nu-max 5",
     "sweep --mu 1 --branch coherent --out /nonexistent/dir/x.csv",
     "sweep --branch exact --n-atoms 1 --mu 70:40:4",
+    "sweep --branch coherent,even,odd --mu 1e100",
+    # Reducible blocks: 726 one-state blocks at mu = 0, with degenerate
+    # copies; a block above fock.DENSE_CUTOFF solved dense because 16 k >= n.
+    "spectrum --mu 0",
+    "spectrum --mu 1 --n-atoms 1 --nu-max 200 --k 400",
 )
 
 
