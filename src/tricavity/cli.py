@@ -627,8 +627,11 @@ def main(argv=None) -> int:
             raise argparse.ArgumentTypeError("--na is the CSV sentinel; JSON writes null")
         out = getattr(args, "out", None)  # checked here so that a bad path costs no computing
         if out not in (None, "-"):
-            if not os.path.exists(os.path.dirname(out) or "."):
+            parent = os.path.dirname(out) or "."
+            if not os.path.exists(parent):
                 raise argparse.ArgumentTypeError(f"--out {out}: No such file or directory")
+            if not os.path.isdir(parent):
+                raise argparse.ArgumentTypeError(f"--out {out}: Not a directory")
             if os.path.isdir(out):
                 raise argparse.ArgumentTypeError(f"--out {out}: Is a directory")
         return args.func(args)

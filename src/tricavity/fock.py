@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
+from scipy.linalg.blas import dsbmv
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 from scipy.special import gammainc
@@ -41,9 +42,12 @@ from .model import (
     symmetric_occupations,
 )
 
-# Size of a coupled component above which its lowest eigenpairs come from
-# Lanczos instead of a dense solve.
+# Size of a block above which its lowest eigenpairs come from the banded
+# ground solver (k = 1) or Lanczos instead of a dense solve.
 DENSE_CUTOFF = 256
+
+# Steps the banded ground solver may take on one block before it gives up.
+_BANDED_STEPS = 100
 
 # Acceptable truncated weight of a coherent field state above the cutoff.
 TAIL_FLOOR = 1e-14
@@ -382,9 +386,9 @@ def ground_observables(ground: SectorGround, params: ModelParams) -> StateObserv
     """
     vec = ground.state
     space = vec.space
-    mop = m_operator(space, params.config)
-    m_mean = vec.expectation(mop).real
-    m_var = vec.expectation(mop @ mop).real - m_mean**2
+    m, norm = m_operator(space, params.config).diagonal(), vec.norm_squared()
+    m_mean = np.vdot(vec.data, m * vec.data).real / norm
+    m_var = np.vdot(vec.data, (m * m) * vec.data).real / norm - m_mean**2
     rho = vec.atomic_density_matrix()
     pops = np.array(space.occupations).T @ np.diag(rho).real
     if space.dark_level is not None:
@@ -417,27 +421,64 @@ class GroundStateResult:
         return self.even if self.even.energy <= self.odd.energy else self.odd
 
 
+def _solver_floor(n: int, row_sum: float) -> float:
+    """tau = sqrt(n) eps G of an n-state block whose largest Gershgorin row sum is G."""
+    return math.sqrt(n) * np.finfo(float).eps * row_sum
+
+
+def _banded_ground(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified lowest eigenpair ([E], x as a column) of a block in lower band storage.
+
+    Inverse iteration from the fixed positive start vector, shifted first to
+    the Gershgorin bound less tau, then to the Rayleigh quotient E less
+    max(|Hx - Ex|, tau); a shift that does not factor is bisected towards
+    the last that did. By Sylvester's law of inertia H - sI factors iff no
+    eigenvalue lies at or below s, so once |Hx - Ex| <= tau a factor at
+    E - tau certifies E, connected block or not. Raises NonConvergence after
+    _BANDED_STEPS steps (each at most one factorization and one solve).
+    """
+    n, width = band.shape[1], band.shape[0] - 1
+    row_sums = dsbmv(width, 1.0, np.abs(band), np.ones(n), lower=1)
+    tau = _solver_floor(n, float(np.max(row_sums)))
+    lower = shift = float(np.min(band[0] + np.abs(band[0]) - row_sums)) - tau
+    factor, residual, work = None, math.inf, np.empty_like(band)  # factored in place
+    x = np.random.default_rng(0).uniform(0.5, 1.5, n)
+    for _ in range(_BANDED_STEPS):
+        if factor is None or shift > lower:
+            np.copyto(work, band)
+            work[0] -= shift
+            try:
+                factor = scipy.linalg.cholesky_banded(
+                    work, overwrite_ab=True, lower=True, check_finite=False
+                )
+            except np.linalg.LinAlgError:
+                factor, residual, shift = None, math.inf, 0.5 * (lower + shift)
+                continue
+            lower = shift
+        if residual <= tau:
+            return np.array([energy]), x[:, None]
+        x = scipy.linalg.cho_solve_banded((factor, True), x, check_finite=False)
+        x /= np.linalg.norm(x)
+        hx = dsbmv(width, 1.0, band, x, lower=1)
+        energy = float(x @ hx)
+        residual = float(np.linalg.norm(hx - energy * x))
+        shift = energy - max(residual, tau)
+    raise NonConvergence(f"no certified ground of a {n}-state block in {_BANDED_STEPS} steps")
+
+
 def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
-    """(even, odd) lists of the lowest k (eigenvalue, indices, H block, eigenvector on it).
+    """(H, (even, odd)): per sector the lowest k (eigenvalue, indices, eigenvector on them).
 
-    H is built once and its coupling graph searched once, on H itself:
-    `build_hamiltonian` stores no zeros, so its stored entries are the
-    edges. H keeps the excitation parity, so each connected block lies in
-    one sector, that of its first member. Under the RWA the blocks are
-    those of fixed M, and the vacuum is a block of its own: a Lanczos run on
-    a whole sector would miss it, so every block is solved on its own. H is
-    permuted once, members grouped by block in index order, so that each
-    block is a contiguous diagonal slice of it. On a bright block H is that
-    of the rotated parameters.
-
-    A block is solved dense when it has at most DENSE_CUTOFF states or k is
-    at least 1/16 of its size (where dense was measured faster, and which
-    keeps eigsh away from k near n), else by Lanczos from a fixed start
-    vector, so that repeated solves agree bit for bit. A connected block has
-    off-diagonals <= 0, so its ground state is positive and overlaps the
-    positive start vector; the entries are unequal because a uniform vector
-    misses states odd under a level exchange. The eigenpairs of each sector
-    are merged by a stable sort on the eigenvalue.
+    H is built once and cut into blocks by a label it conserves: for k = 1,
+    M under the RWA (the vacuum is a block of its own), else M mod 2; for
+    k > 1 the connected component (H stores no zeros), so that a reducible
+    spectrum keeps every degenerate copy. A block lies in the sector of its
+    first member. A one-state block is read off the diagonal; one of at most
+    DENSE_CUTOFF states, or k >= 1/16 of it, is solved dense; a larger one
+    by `_banded_ground` for k = 1, else by Lanczos from a fixed start vector
+    with unequal positive entries (a uniform one misses states odd under a
+    level exchange). Each sector is merged by a stable sort on the
+    eigenvalue. On a bright block H is that of the rotated parameters.
     """
     if space.dark_level is not None:
         if space.dark_level != dark_level(params):
@@ -446,21 +487,42 @@ def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
     h = build_hamiltonian(params, space)
     parity = np.zeros(space.dimension, dtype=int)
     parity[parity_sectors(space, params.config)[1]] = 1
-    _, labels = connected_components(h, directed=False)
+    if k > 1:
+        labels = connected_components(h, directed=False)[1]
+    else:
+        labels = m_diagonal(space, params.config) if params.rwa else parity
     members = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels))
-    h = h[members][:, members]  # rebound, so that the unpermuted H is freed
+    sizes = np.bincount(labels)
+    place = np.empty(space.dimension, dtype=h.indices.dtype)  # index within the block
+    place[members] = np.arange(space.dimension) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     sectors = ([], [])
-    for part, end in zip(np.split(members, ends[:-1]), ends):
-        n = part.size
-        block = h[end - n : end, end - n : end]
-        if n <= DENSE_CUTOFF or 16 * k >= n:
-            vals, vecs = scipy.linalg.eigh(block.toarray(), subset_by_index=(0, min(k, n) - 1))
+    for part in np.split(members, np.cumsum(sizes)[:-1]):
+        # H keeps the label, so a member row has all its entries in the block:
+        # cut in index order, they are the block's canonical CSR arrays.
+        n, starts = part.size, h.indptr[part]
+        counts = h.indptr[part + 1] - starts
+        ends = np.cumsum(counts, dtype=counts.dtype)
+        take = np.arange(ends[-1], dtype=ends.dtype) + np.repeat(starts - ends + counts, counts)
+        cols, data = place[h.indices[take]], h.data[take]
+        rows = np.repeat(np.arange(n, dtype=cols.dtype), counts)
+        if n == 1:
+            vals, vecs = np.array([data.sum()]), np.ones((1, 1))
+        elif n <= DENSE_CUTOFF or 16 * k >= n:
+            dense = np.zeros((n, n))
+            dense[rows, cols] = data
+            vals, vecs = scipy.linalg.eigh(dense, subset_by_index=(0, min(k, n) - 1))
+        elif k == 1:
+            below = rows >= cols
+            offsets = rows[below] - cols[below]
+            band = np.zeros((offsets.max() + 1, n), order="F")
+            band[offsets, cols[below]] = data[below]
+            vals, vecs = _banded_ground(band)
         else:
             v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+            block = sparse.csr_matrix((data, cols, np.append(0, ends)), shape=(n, n))
             vals, vecs = eigsh(block, k=k, which="SA", v0=v0)
-        sectors[parity[part[0]]].extend((val, part, block, vec) for val, vec in zip(vals, vecs.T))
-    return tuple(sorted(sector, key=lambda entry: entry[0])[:k] for sector in sectors)
+        sectors[parity[part[0]]].extend((val, part, vec) for val, vec in zip(vals, vecs.T))
+    return h, tuple(sorted(sector, key=lambda entry: entry[0])[:k] for sector in sectors)
 
 
 def ground_states(params: ModelParams, space: TruncatedSpace) -> GroundStateResult:
@@ -480,15 +542,16 @@ def ground_states(params: ModelParams, space: TruncatedSpace) -> GroundStateResu
     """
     leading = (space.nu_max - 9) * space.atomic_dimension
     grounds, deltas = [], []
-    sectors = _lowest_eigenpairs(params, space, 1)
-    for branch, ((energy, part, block, vec),) in zip(ParityBranch, sectors):
+    h, sectors = _lowest_eigenpairs(params, space, 1)
+    for branch, ((energy, part, vec),) in zip(ParityBranch, sectors):
         pivot = vec[np.argmax(np.abs(vec))]  # the phase makes the largest entry positive
         data = np.zeros(space.dimension, dtype=complex)
         data[part] = vec * (abs(pivot) / pivot)
         grounds.append(SectorGround(float(energy), StateVector(space, data), branch))
         x = np.where(part < leading, vec, 0.0)
         norm = x @ x
-        deltas.append(abs(x @ (block @ x) / norm - energy) if norm else math.inf)
+        image = h @ np.bincount(part, x, space.dimension)  # H keeps the block: its product
+        deltas.append(abs(x @ image[part] / norm - energy) if norm else math.inf)
     return GroundStateResult(*grounds, space.nu_max, float(max(deltas)))
 
 
@@ -536,7 +599,7 @@ def sector_spectrum(
     params: ModelParams, space: TruncatedSpace, k: int = 6
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenvalues of the even and of the odd sector, from one H build."""
-    sectors = _lowest_eigenpairs(params, space, k)
+    _, sectors = _lowest_eigenpairs(params, space, k)
     return tuple(np.array([entry[0] for entry in sector]) for sector in sectors)
 
 

@@ -171,12 +171,14 @@ def expect_photon_moments(sp: SacsPoint) -> tuple[float, float]:
     kr = sp._kernel_checked()
     first = _photons(sp)
     try:
-        alpha_sq_squared = sp.alpha_sq**2
+        second = (sp._term(sp.alpha_sq**2, 1, 0) + first) / kr
     except OverflowError:
+        second = math.inf
+    if not math.isfinite(second):
         raise TricavityError(
             f"the SACS photon moments overflow floats at |alpha|^2 = {sp.alpha_sq:.6e}"
-        ) from None
-    return first / kr, (sp._term(alpha_sq_squared, 1, 0) + first) / kr
+        )
+    return first / kr, second
 
 
 def expect_photon_population_product(sp: SacsPoint, i: int) -> float:

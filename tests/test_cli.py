@@ -323,13 +323,19 @@ class TestSweep:
         parallel = run_cli_process(*args, "--jobs", "2", expect=3)
         assert (parallel.stdout, parallel.stderr) == ("", line)
 
-    @pytest.mark.parametrize("name", ["missing/table.csv", "."])
+    @pytest.mark.parametrize("name", ["missing/table.csv", ".", "file/table.csv"])
     def test_unwritable_out_is_bad_input(self, monkeypatch, tmp_path, name):
-        # A missing directory and a directory itself, both found before any point runs.
+        # A missing directory, a directory itself and a regular file as the
+        # parent, each found before any point runs.
         points = []
         monkeypatch.setattr(cli, "_evaluate_point", lambda *args, **kwargs: points.append(args))
+        (tmp_path / "file").write_text("")
         target = tmp_path / name
-        reason = "Is a directory" if name == "." else "No such file or directory"
+        reason = {
+            "missing/table.csv": "No such file or directory",
+            ".": "Is a directory",
+            "file/table.csv": "Not a directory",
+        }[name]
         proc = run_cli("sweep", "--out", str(target), expect=2)
         assert (proc.stdout, proc.stderr) == ("", f"bad input: --out {target}: {reason}\n")
         assert points == []
@@ -434,6 +440,19 @@ def test_sacs_photon_moment_overflow_is_numerical_failure():
         "|alpha|^2 = 2.000000e+200\n"
     ))
     _, header, rows = parse_csv(run_cli("sweep", "--branch", "coherent", "--mu", "1e100").stdout)
+    assert header[1] == "coherent_energy" and len(rows) == 1
+
+
+def test_sacs_second_photon_moment_past_floats_is_numerical_failure():
+    # |alpha|^2 = 1.19e154 squares to a finite float, which the SACS term
+    # then doubles past the range: an inf moment, not a printed row.
+    args = ("sweep", "--branch", "even", "--mu", "7.7e76", "--outputs", "photons,distribution,m")
+    proc = run_cli(*args, expect=3)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(
+        "numerical failure at mu=7.7e+76: the SACS photon moments overflow floats at |alpha|^2 = "
+    ) and proc.stderr.count("\n") == 1
+    _, header, rows = parse_csv(run_cli("sweep", "--branch", "coherent", "--mu", "7.7e76").stdout)
     assert header[1] == "coherent_energy" and len(rows) == 1
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from tricavity import cli, fock, sacs, surface
 from tricavity.errors import CutoffNotConverged, NonConvergence, TailTooLarge
@@ -418,23 +419,36 @@ class TestBrightBlock:
             n_dark = np.array(space.occupations)[:, dark - 1]
             bright = fock.ground_states(p, fock.TruncatedSpace(n, 24, dark))
             # With k the whole dimension, every eigenvalue of every block is listed.
-            sectors = fock._lowest_eigenpairs(rotated, space, space.dimension)
+            _, sectors = fock._lowest_eigenpairs(rotated, space, space.dimension)
             for sector, ground in zip(sectors, (bright.even, bright.odd)):
                 lowest = {}
-                for energy, part, _, _ in sector:
+                for energy, part, _ in sector:
                     (k,) = set(n_dark[part % space.atomic_dimension])
                     lowest[k] = min(lowest.get(k, math.inf), energy)
                 assert lowest[1] >= lowest[0] - 1e-12 * max(1.0, abs(lowest[0]))
                 assert abs(lowest[0] - ground.energy) <= 1e-10 * max(1.0, abs(ground.energy))
 
 
+def _recorded_inputs(monkeypatch, module, name):
+    """Copies of the first argument of every call of module.name, in call order."""
+    original, inputs = getattr(module, name), []
+
+    def recording(a, *args, **kwargs):
+        inputs.append(a.copy())
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return inputs
+
+
 class TestBlocks:
     @pytest.mark.parametrize("case", ("v", "v-rwa", "xi-rwa", "v-mu0", "lambda-rwa"))
-    def test_blocks_are_parity_tagged_index_slices(self, case):
+    def test_blocks_are_parity_tagged_index_slices(self, monkeypatch, case):
         # Rotated onto its bright level, the V space splits by n_d (and by M
-        # under the RWA); each permuted slice must equal the fancy-index one.
-        # At mu = 0 every state is a block of its own, and so is each M = 0
-        # state of Lambda under the RWA (omega2 != omega1, no dark level).
+        # under the RWA); each block handed to the dense solver must equal
+        # the fancy-index slice bit for bit. At mu = 0 every state is a block
+        # of its own, and so is each M = 0 state of Lambda under the RWA
+        # (omega2 != omega1, no dark level).
         if case == "xi-rwa":
             p = _frame_params(AtomicConfiguration.XI, True, "default", 3)
             space = fock.TruncatedSpace(3, 20)
@@ -450,21 +464,24 @@ class TestBlocks:
             space = fock.TruncatedSpace(4, 20)
         h = fock.build_hamiltonian(p, space)
         m = fock.m_diagonal(space, p.config)
-        # With k the whole dimension, every block appears, once per eigenvalue.
-        sectors = [
-            list({part[0]: (part, sub) for _, part, sub, _ in entries}.values())
-            for entries in fock._lowest_eigenpairs(p, space, space.dimension)
-        ]
+        dense = _recorded_inputs(monkeypatch, scipy.linalg, "eigh")
+        # With k the whole dimension, every connected block appears, once per
+        # eigenvalue, and is solved dense (one-state blocks off the diagonal).
+        _, sectors = fock._lowest_eigenpairs(p, space, space.dimension)
+        sectors = [{part[0]: part for _, part, _ in entries}.values() for entries in sectors]
         assert sum(map(len, sectors)) > 2
         members = []
         for parity, blocks in enumerate(sectors):
-            for part, sub in blocks:
+            for part in blocks:
                 assert np.all(np.diff(part) > 0)
                 assert np.all(m[part] % 2 == parity)
                 if p.rwa:
                     assert np.unique(m[part]).size == 1
-                assert _same_arrays(sub, h[np.ix_(part, part)])
+                if part.size > 1:
+                    reference = h[np.ix_(part, part)].toarray()
+                    assert sum(_same_arrays(a, reference) for a in dense) == 1
                 members.append(part)
+        assert len(dense) == sum(part.size > 1 for part in members)
         assert np.array_equal(np.sort(np.concatenate(members)), np.arange(space.dimension))
         if case == "v-mu0":
             assert len(members) == space.dimension
@@ -472,7 +489,44 @@ class TestBlocks:
             zero = [part for part in members if m[part[0]] == 0]
             assert len(zero) == space.n_atoms + 1 and all(part.size == 1 for part in zero)
 
-    def test_one_hamiltonian_and_one_graph_search_per_call(self, monkeypatch):
+    @pytest.mark.parametrize("rwa", (False, True))
+    def test_ground_blocks_are_the_label_blocks(self, monkeypatch, rwa):
+        # For k = 1 a block is a whole parity sector without the RWA and a
+        # whole M block with it, also where the label block is reducible
+        # (the N + 1 uncoupled M = 0 states of Lambda at omega2 != omega1).
+        p = _frame_params(AtomicConfiguration.LAMBDA, rwa, "shifted", 3, mu=0.4)
+        space = fock.TruncatedSpace(3, 20)
+        h = fock.build_hamiltonian(p, space)
+        m = fock.m_diagonal(space, p.config)
+        dense = _recorded_inputs(monkeypatch, scipy.linalg, "eigh")
+        _, sectors = fock._lowest_eigenpairs(p, space, 1)
+        labels = m if rwa else m % 2
+        sizes = np.bincount(labels)
+        assert len(dense) == np.count_nonzero(sizes > 1)
+        for parity, ((_, part, _),) in enumerate(sectors):
+            assert np.array_equal(part, np.flatnonzero(labels == labels[part[0]]))
+            assert np.all(m[part] % 2 == parity)
+            reference = h[np.ix_(part, part)].toarray()
+            assert sum(_same_arrays(a, reference) for a in dense) == 1
+        if rwa:
+            assert sizes[0] == space.n_atoms + 1 and sectors[0][0][1][0] == 0
+
+    def test_lanczos_blocks_are_the_canonical_slices(self, monkeypatch):
+        # Spectra keep the connected components; a block past DENSE_CUTOFF
+        # reaches eigsh as the canonical CSR slice of H.
+        p = VParams(mu=1.0, n_atoms=2).to_model_params()
+        space = fock.TruncatedSpace(2, 200)
+        lanczos = _recorded_inputs(monkeypatch, fock, "eigsh")
+        fock.sector_spectrum(p, space, k=6)
+        h = fock.build_hamiltonian(p, space)
+        labels = connected_components(h, directed=False)[1]
+        parts = [np.flatnonzero(labels == label) for label in range(labels.max() + 1)]
+        expected = [h[np.ix_(part, part)] for part in parts if part.size > fock.DENSE_CUTOFF]
+        assert len(lanczos) == len(expected) >= 2
+        for block, reference in zip(lanczos, expected):
+            assert reference.has_canonical_format and _same_arrays(block, reference)
+
+    def test_one_hamiltonian_per_call_and_a_graph_search_only_for_spectra(self, monkeypatch):
         calls = {"build_hamiltonian": 0, "connected_components": 0}
         for name in calls:
             original = getattr(fock, name)
@@ -485,9 +539,9 @@ class TestBlocks:
         p = VParams(mu=0.3, n_atoms=2).to_model_params()
         result = fock.ground_states(p, fock.TruncatedSpace(2, 30, fock.dark_level(p)))
         assert result.delta < fock.CERTIFICATE_DELTA
-        assert calls == {"build_hamiltonian": 1, "connected_components": 1}
+        assert calls == {"build_hamiltonian": 1, "connected_components": 0}
         fock.sector_spectrum(p, fock.TruncatedSpace(2, 30))
-        assert calls == {"build_hamiltonian": 2, "connected_components": 2}
+        assert calls == {"build_hamiltonian": 2, "connected_components": 1}
 
 
 class TestAssemblyMemory:
@@ -544,8 +598,8 @@ class TestGroundStates:
             assert abs(val - branch.sign) < 1e-10
 
 
-class TestLanczosPath:
-    def test_lanczos_is_deterministic_and_matches_dense(self, monkeypatch):
+class TestLargeBlockPaths:
+    def test_banded_ground_is_deterministic_and_matches_dense(self, monkeypatch):
         p = VParams(mu=1.3, n_atoms=4).to_model_params()
         space = fock.TruncatedSpace(4, 60)
         monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
@@ -594,10 +648,75 @@ class TestLanczosPath:
         _assert_deterministic_and_matches_dense(monkeypatch, p)
 
     def test_full_oracle_path_is_deterministic_and_matches_dense(self, monkeypatch):
-        # Off double resonance the full space is solved, by Lanczos components.
+        # Off double resonance the full space is solved, its sectors banded.
         p = replace(VParams(mu=1.5, theta=0.8, n_atoms=8).to_model_params(), omega2=0.9)
         assert fock.dark_level(p) is None
         _assert_deterministic_and_matches_dense(monkeypatch, p)
+
+    @pytest.mark.parametrize("mu", (0.0, 1.3))
+    def test_reducible_ground_sector_banded_matches_dense(self, monkeypatch, mu):
+        # V at double resonance on the full space: each sector splits by the
+        # dark number (and at mu = 0 into single states, with a degenerate
+        # odd ground), and the banded solve runs on the whole reducible sector.
+        p = VParams(mu=mu, theta=0.7, n_atoms=4).to_model_params()
+        space = fock.TruncatedSpace(4, 40)
+        monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
+        dense = fock.ground_states(p, space)
+        spectra = fock.sector_spectrum(p, space, k=2)
+        monkeypatch.setattr(fock, "DENSE_CUTOFF", 50)
+        bands = _recorded_inputs(monkeypatch, fock, "_banded_ground")
+        banded = fock.ground_states(p, space)
+        assert len(bands) == 2
+        for branch, values in zip(("even", "odd"), spectra):
+            ours, ref = getattr(banded, branch), getattr(dense, branch)
+            assert abs(ours.energy - ref.energy) < 1e-12
+            if values[1] - values[0] > 1e-8:
+                assert np.abs(ours.state.data - ref.state.data).max() < 1e-12
+        assert abs(banded.delta - dense.delta) < 1e-12
+
+    def test_certificate_fails_without_the_lowest_state(self, monkeypatch):
+        # Every solve returns the block's second eigenvector, as if its
+        # lowest state were dropped from the solve but kept in H: the
+        # residual passes tau at once, so the factorization at E - tau, the
+        # certificate, runs and must fail, every time, until the solver
+        # gives up.
+        p = VParams(mu=1.3, n_atoms=4).to_model_params()
+        space = fock.TruncatedSpace(4, 60)
+        banded, cholesky = fock._banded_ground, scipy.linalg.cholesky_banded
+        seen, failed = {}, []
+
+        def without_lowest(band):
+            n = band.shape[1]
+            full = np.diag(band[0])
+            for offset in range(1, band.shape[0]):
+                full += np.diag(band[offset, : n - offset], -offset)
+                full += np.diag(band[offset, : n - offset], offset)
+            seen["values"], vectors = scipy.linalg.eigh(full, subset_by_index=(0, 1))
+            seen["diagonal"] = band[0].copy()
+            second = vectors[:, 1]
+            monkeypatch.setattr(
+                scipy.linalg, "cho_solve_banded", lambda factor, b, **kwargs: second.copy()
+            )
+            return banded(band)
+
+        def recorded(shifted, **kwargs):
+            shift = seen["diagonal"][0] - shifted[0, 0] if seen else None
+            try:
+                return cholesky(shifted, **kwargs)
+            except np.linalg.LinAlgError:
+                failed.append(shift)
+                raise
+
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", recorded)
+        monkeypatch.setattr(fock, "DENSE_CUTOFF", 50)
+        assert fock.ground_states(p, space).delta < fock.CERTIFICATE_DELTA
+        assert failed == []
+        monkeypatch.setattr(fock, "_banded_ground", without_lowest)
+        with pytest.raises(NonConvergence, match="no certified ground"):
+            fock.ground_states(p, space)
+        lowest, second = seen["values"]
+        assert second - lowest > 0.1
+        assert abs(failed[0] - second) < 1e-9 and all(shift > lowest for shift in failed)
 
 
 def _assert_deterministic_and_matches_dense(monkeypatch, p):
@@ -797,10 +916,11 @@ class TestCertificate:
     def test_certificate_solves_only_the_ground_block(self, monkeypatch):
         # Under the RWA each sector splits into one block per M; the
         # certificate is a product with the block that holds the sector
-        # ground, so each cutoff solves each block once and never again.
+        # ground, so each cutoff solves each block of two or more states
+        # once (one-state blocks are read off the diagonal) and never again.
         p = _frame_params(AtomicConfiguration.LAMBDA, True, "default", 6, mu=0.4, theta=0.8)
         assert fock.dark_level(p) is None
-        solves, blocks = [], []
+        solves, searches = [], []
 
         def recorded(module, name, record):
             original = getattr(module, name)
@@ -814,22 +934,24 @@ class TestCertificate:
 
         recorded(scipy.linalg, "eigh", solves.append)
         recorded(fock, "eigsh", solves.append)
-        recorded(fock, "connected_components", lambda out: blocks.append(out[0]))
+        recorded(fock, "_banded_ground", solves.append)
+        recorded(fock, "connected_components", searches.append)
         solve, calls = fock._lowest_eigenpairs, []
 
         def recording(params, space, k):
             before = len(solves)
             out = solve(params, space, k)
-            calls.append((len(solves) - before, k))
+            sizes = np.bincount(fock.m_diagonal(space, params.config))
+            calls.append((len(solves) - before, np.count_nonzero(sizes > 1), k))
             return out
 
         monkeypatch.setattr(fock, "_lowest_eigenpairs", recording)
         cutoffs = _counting_attempts(monkeypatch)
         result = fock.converged_ground_states(p)
         assert result.delta < fock.CERTIFICATE_DELTA
-        assert len(calls) == len(cutoffs) and sum(n for n, _ in calls) == len(solves)
-        assert [n for n, _ in calls] == blocks
-        assert all(k == 1 for _, k in calls) and min(n for n, _ in calls) > 2
+        assert len(calls) == len(cutoffs) and sum(n for n, _, _ in calls) == len(solves)
+        assert all(n == blocks > 2 and k == 1 for n, blocks, k in calls)
+        assert searches == []
         _assert_both_deltas_certify_and_agree(monkeypatch, p, fock.DENSE_CUTOFF)
 
     def test_ground_block_without_leading_states_is_not_certified(self):

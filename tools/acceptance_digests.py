@@ -8,8 +8,8 @@ the other, and prints per invocation the sha256 of its stdout, the sha256 of
 its stderr, its exit code and its arguments. TREE defaults to the tree that
 holds this script. Two trees print byte-identical output exactly when
 `diff` of their two listings is empty. It is a script, not a test: the
-comparison needs a second tree, and a run starts 37 interpreters (about
-25 s on a 2-core x86-64 VM).
+comparison needs a second tree, and a run starts 40 interpreters (about
+30 s on a 2-core x86-64 VM).
 """
 
 from __future__ import annotations
@@ -61,6 +61,11 @@ INVOCATIONS = (
     # copies; a block above fock.DENSE_CUTOFF solved dense because 16 k >= n.
     "spectrum --mu 0",
     "spectrum --mu 1 --n-atoms 1 --nu-max 200 --k 400",
+    # A SACS second photon moment past the float range; an --out whose
+    # parent is a regular file; a wide-band (about 41) full-space block.
+    "sweep --branch even --mu 7.7e76 --outputs photons,distribution,m",
+    "sweep --mu 0:1:3 --branch coherent --out README.md/x.csv",
+    "sweep --branch exact --mu 1.5 --theta 0.8 --omega2 0.9 --n-atoms 10",
 )
 
 
