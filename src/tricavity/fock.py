@@ -46,6 +46,11 @@ from .model import (
 # ground solver (k = 1) or Lanczos instead of a dense solve.
 DENSE_CUTOFF = 256
 
+# Widest band the banded ground solver takes (it holds (w + 1) n floats);
+# a block wider than this or than nu_max / 2, where Lanczos was measured
+# faster, goes to Lanczos.
+BANDED_WIDTH = 128
+
 # Steps the banded ground solver may take on one block before it gives up.
 _BANDED_STEPS = 100
 
@@ -435,31 +440,40 @@ def _banded_ground(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the last that did. By Sylvester's law of inertia H - sI factors iff no
     eigenvalue lies at or below s, so once |Hx - Ex| <= tau a factor at
     E - tau certifies E, connected block or not. Raises NonConvergence after
-    _BANDED_STEPS steps (each at most one factorization and one solve).
+    _BANDED_STEPS steps (each one factorization and at most one solve).
+    Overwrites the band, factored in place and refilled for each product.
     """
     n, width = band.shape[1], band.shape[0] - 1
-    row_sums = dsbmv(width, 1.0, np.abs(band), np.ones(n), lower=1)
+    flat = band.ravel(order="K")  # a view: the band is contiguous
+    stored = np.flatnonzero(flat)
+    entries = flat[stored]
+
+    def shifted(shift):  # the band refilled with H - shift I
+        band.fill(0.0)
+        flat[stored] = entries
+        band[0] -= shift
+        return band
+
+    row_sums = dsbmv(width, 1.0, np.abs(band, out=band), np.ones(n), lower=1)
     tau = _solver_floor(n, float(np.max(row_sums)))
-    lower = shift = float(np.min(band[0] + np.abs(band[0]) - row_sums)) - tau
-    factor, residual, work = None, math.inf, np.empty_like(band)  # factored in place
-    x = np.random.default_rng(0).uniform(0.5, 1.5, n)
+    diagonal = shifted(0.0)[0]
+    lower = shift = float(np.min(diagonal + np.abs(diagonal) - row_sums)) - tau
+    residual, x = math.inf, np.random.default_rng(0).uniform(0.5, 1.5, n)
     for _ in range(_BANDED_STEPS):
-        if factor is None or shift > lower:
-            np.copyto(work, band)
-            work[0] -= shift
-            try:
-                factor = scipy.linalg.cholesky_banded(
-                    work, overwrite_ab=True, lower=True, check_finite=False
-                )
-            except np.linalg.LinAlgError:
-                factor, residual, shift = None, math.inf, 0.5 * (lower + shift)
-                continue
-            lower = shift
+        at = max(shift, lower)  # a shift at or below the last factored one is raised to it
+        try:
+            factor = scipy.linalg.cholesky_banded(
+                shifted(at), overwrite_ab=True, lower=True, check_finite=False
+            )
+        except np.linalg.LinAlgError:
+            residual, shift = math.inf, 0.5 * (lower + shift)
+            continue
+        lower = at
         if residual <= tau:
             return np.array([energy]), x[:, None]
         x = scipy.linalg.cho_solve_banded((factor, True), x, check_finite=False)
         x /= np.linalg.norm(x)
-        hx = dsbmv(width, 1.0, band, x, lower=1)
+        hx = dsbmv(width, 1.0, shifted(0.0), x, lower=1)
         energy = float(x @ hx)
         residual = float(np.linalg.norm(hx - energy * x))
         shift = energy - max(residual, tau)
@@ -475,10 +489,11 @@ def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
     spectrum keeps every degenerate copy. A block lies in the sector of its
     first member. A one-state block is read off the diagonal; one of at most
     DENSE_CUTOFF states, or k >= 1/16 of it, is solved dense; a larger one
-    by `_banded_ground` for k = 1, else by Lanczos from a fixed start vector
-    with unequal positive entries (a uniform one misses states odd under a
-    level exchange). Each sector is merged by a stable sort on the
-    eigenvalue. On a bright block H is that of the rotated parameters.
+    by `_banded_ground` for k = 1 if its bandwidth is at most BANDED_WIDTH
+    and nu_max / 2, else by Lanczos from a fixed start vector with unequal
+    positive entries (a uniform one misses states odd under a level
+    exchange). Each sector is merged by a stable sort on the eigenvalue. On
+    a bright block H is that of the rotated parameters.
     """
     if space.dark_level is not None:
         if space.dark_level != dark_level(params):
@@ -511,12 +526,13 @@ def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
             dense = np.zeros((n, n))
             dense[rows, cols] = data
             vals, vecs = scipy.linalg.eigh(dense, subset_by_index=(0, min(k, n) - 1))
-        elif k == 1:
+        elif k == 1 and np.max(rows - cols) <= min(BANDED_WIDTH, space.nu_max // 2):
             below = rows >= cols
             offsets = rows[below] - cols[below]
             band = np.zeros((offsets.max() + 1, n), order="F")
             band[offsets, cols[below]] = data[below]
             vals, vecs = _banded_ground(band)
+            del band  # not alive beside the next block's
         else:
             v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
             block = sparse.csr_matrix((data, cols, np.append(0, ends)), shape=(n, n))

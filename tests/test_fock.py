@@ -718,6 +718,33 @@ class TestLargeBlockPaths:
         assert second - lowest > 0.1
         assert abs(failed[0] - second) < 1e-9 and all(shift > lowest for shift in failed)
 
+    @pytest.mark.parametrize("case", ("banded", "past-the-limit", "past-half-nu-max"))
+    def test_ground_block_past_the_band_limit_goes_to_lanczos(self, monkeypatch, case):
+        # Full space off double resonance: each sector is one block whose
+        # bandwidth grows with N (29 at N = 8). It is banded up to
+        # BANDED_WIDTH and nu_max / 2, and solved by Lanczos past either.
+        p = replace(VParams(mu=1.5, theta=0.8, n_atoms=8).to_model_params(), omega2=0.9)
+        space = fock.TruncatedSpace(8, 40 if case == "past-half-nu-max" else 60)
+        h = fock.build_hamiltonian(p, space)
+        widths = []
+        for part in fock.parity_sectors(space, p.config):
+            block = h[np.ix_(part, part)].tocoo()
+            widths.append(int(np.max(block.row - block.col)))
+        assert 2 * max(widths) <= 60 and 2 * min(widths) > 40
+        monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
+        dense = fock.ground_states(p, space)
+        monkeypatch.setattr(fock, "DENSE_CUTOFF", 50)
+        limit = min(widths) - 1 if case == "past-the-limit" else max(widths)
+        monkeypatch.setattr(fock, "BANDED_WIDTH", limit)
+        bands = _recorded_inputs(monkeypatch, fock, "_banded_ground")
+        lanczos = _recorded_inputs(monkeypatch, fock, "eigsh")
+        found = fock.ground_states(p, space)
+        assert (len(bands), len(lanczos)) == ((2, 0) if case == "banded" else (0, 2))
+        for branch in ("even", "odd"):
+            ours, ref = getattr(found, branch), getattr(dense, branch)
+            assert abs(ours.energy - ref.energy) < 1e-12
+            assert np.abs(ours.state.data - ref.state.data).max() < 1e-12
+
 
 def _assert_deterministic_and_matches_dense(monkeypatch, p):
     first = fock.converged_ground_states(p)
