@@ -628,7 +628,7 @@ def main(argv=None) -> int:
         out = getattr(args, "out", None)  # checked here so that a bad path costs no computing
         if out not in (None, "-"):
             parent = os.path.dirname(out) or "."
-            if not os.path.exists(parent):
+            if not out or not os.path.exists(parent):
                 raise argparse.ArgumentTypeError(f"--out {out}: No such file or directory")
             if not os.path.isdir(parent):
                 raise argparse.ArgumentTypeError(f"--out {out}: Not a directory")

@@ -57,12 +57,10 @@ _BANDED_STEPS = 100
 # Acceptable truncated weight of a coherent field state above the cutoff.
 TAIL_FLOOR = 1e-14
 
-# Basis size limit, certificate tolerance on |E(nu_max) - E(nu_max - 10)|,
-# and the largest cutoff of the schedule (doubling from suggested_nu_max of
-# the coherent minimum).
+# Basis size limit, which also ends the cutoff schedule, and certificate
+# tolerance on |E(nu_max) - E(nu_max - 10)|.
 MAX_DIMENSION = 500_000
 CERTIFICATE_DELTA = 1e-10
-NU_MAX_LIMIT = 5120
 
 
 # Per scheme: the coupled pair (p, q) whose degeneracy makes a dark state,
@@ -531,6 +529,7 @@ def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
             offsets = rows[below] - cols[below]
             band = np.zeros((offsets.max() + 1, n), order="F")
             band[offsets, cols[below]] = data[below]
+            del take, rows, cols, data, below, offsets  # not alive beside the solve's
             vals, vecs = _banded_ground(band)
             del band  # not alive beside the next block's
         else:
@@ -579,9 +578,9 @@ def converged_ground_states(params: ModelParams) -> GroundStateResult:
     minimum of the coherent surface (its best candidate if the minimizer did
     not converge: the estimate is only a starting guess, the certificate
     decides). Returns the first result of `ground_states` whose delta passes.
-    Raises CutoffNotConverged, with the delta of the last attempt, once the
-    next cutoff passes NU_MAX_LIMIT or its basis would pass MAX_DIMENSION,
-    and with no delta when the first cutoff already passes NU_MAX_LIMIT.
+    Raises CutoffNotConverged once the basis of the next cutoff would pass
+    MAX_DIMENSION, with the delta of the last attempt (None if there was
+    none).
     """
     try:
         crit = surface.minimize_surface(params)
@@ -589,12 +588,7 @@ def converged_ground_states(params: ModelParams) -> GroundStateResult:
         crit = exc.best
     dark = dark_level(params)
     nu_max, delta = suggested_nu_max(crit.rho), None
-    if nu_max > NU_MAX_LIMIT:
-        raise CutoffNotConverged(
-            f"the first cutoff, nu_max={nu_max}, exceeds the largest, {NU_MAX_LIMIT}: "
-            "nothing was solved"
-        )
-    while nu_max <= NU_MAX_LIMIT:
+    while True:
         try:
             space = TruncatedSpace(params.n_atoms, nu_max, dark)
         except ValueError as exc:
@@ -606,9 +600,6 @@ def converged_ground_states(params: ModelParams) -> GroundStateResult:
         if result.delta < CERTIFICATE_DELTA:
             return result
         nu_max, delta = 2 * nu_max, result.delta
-    raise CutoffNotConverged(
-        f"no converged cutoff found up to nu_max={NU_MAX_LIMIT}", delta=delta
-    )
 
 
 def sector_spectrum(

@@ -304,7 +304,7 @@ class TestSweep:
         run_cli("sweep", "--mu", "0:1:3", "--theta", "0:1:3", expect=2)
 
     def test_serial_sweep_stops_at_its_first_failing_point(self, monkeypatch):
-        # mu = 70 fails; 60, 50 and 40 would certify, and none of them runs.
+        # mu = 600 is past the basis limit; 40 would certify, and does not run.
         solve, solves = fock.converged_ground_states, []
 
         def counted(params):
@@ -312,29 +312,30 @@ class TestSweep:
             return solve(params)
 
         monkeypatch.setattr(fock, "converged_ground_states", counted)
-        args = ("sweep", "--branch", "exact", "--n-atoms", "1", "--mu", "70:40:4")
+        args = ("sweep", "--branch", "exact", "--n-atoms", "1", "--mu", "600:40:2")
         proc = run_cli(*args, expect=3)
         assert len(solves) == 1
         line = (
-            "numerical failure at mu=70: the first cutoff, nu_max=5621, exceeds the "
-            "largest, 5120: nothing was solved\n"
+            "numerical failure at mu=600: no converged cutoff below the basis limit at "
+            "nu_max=366021: basis dimension 732044 exceeds the limit 500000\n"
         )
         assert (proc.stdout, proc.stderr) == ("", line)
         parallel = run_cli_process(*args, "--jobs", "2", expect=3)
         assert (parallel.stdout, parallel.stderr) == ("", line)
 
-    @pytest.mark.parametrize("name", ["missing/table.csv", ".", "file/table.csv"])
+    @pytest.mark.parametrize("name", ["missing/table.csv", ".", "file/table.csv", ""])
     def test_unwritable_out_is_bad_input(self, monkeypatch, tmp_path, name):
-        # A missing directory, a directory itself and a regular file as the
-        # parent, each found before any point runs.
+        # A missing directory, a directory itself, a regular file as the
+        # parent and an empty path, each found before any point runs.
         points = []
         monkeypatch.setattr(cli, "_evaluate_point", lambda *args, **kwargs: points.append(args))
         (tmp_path / "file").write_text("")
-        target = tmp_path / name
+        target = tmp_path / name if name else ""
         reason = {
             "missing/table.csv": "No such file or directory",
             ".": "Is a directory",
             "file/table.csv": "Not a directory",
+            "": "No such file or directory",
         }[name]
         proc = run_cli("sweep", "--out", str(target), expect=2)
         assert (proc.stdout, proc.stderr) == ("", f"bad input: --out {target}: {reason}\n")

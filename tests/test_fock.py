@@ -839,11 +839,12 @@ class TestCutoffSchedule:
         assert fock.dark_level(p) is None
         _assert_doubles_from_a_low_estimate(monkeypatch, p)
 
-    def test_gives_up_past_the_largest_cutoff(self, monkeypatch, capsys):
+    def test_gives_up_at_the_basis_limit(self, monkeypatch, capsys):
         # No certificate holds, so the schedule doubles 39 -> 78 and stops
-        # before 156 > NU_MAX_LIMIT, carrying the delta of the last attempt.
+        # before the 3 x 157-state basis of 156 passes MAX_DIMENSION,
+        # carrying the delta of the last attempt.
         monkeypatch.setattr(fock, "CERTIFICATE_DELTA", 0.0)
-        monkeypatch.setattr(fock, "NU_MAX_LIMIT", 100)
+        monkeypatch.setattr(fock, "MAX_DIMENSION", 300)
         deltas = {}
         solve = fock.ground_states
 
@@ -853,7 +854,10 @@ class TestCutoffSchedule:
             return result
 
         monkeypatch.setattr(fock, "ground_states", recorded)
-        message = "no converged cutoff found up to nu_max=100"
+        message = (
+            "no converged cutoff below the basis limit at nu_max=156: "
+            "basis dimension 471 exceeds the limit 300"
+        )
         with pytest.raises(CutoffNotConverged, match=f"^{message}$") as info:
             fock.converged_ground_states(VParams(mu=1.0).to_model_params())
         assert list(deltas) == [39, 78]
@@ -861,16 +865,36 @@ class TestCutoffSchedule:
         assert cli.main(["sweep", "--mu", "1", "--branch", "exact"]) == 3
         assert capsys.readouterr().err == f"numerical failure at mu=1: {message}\n"
 
-    def test_first_cutoff_past_the_largest_solves_nothing(self, monkeypatch, capsys):
-        # At mu = 70 the coherent estimate asks for nu_max = 5621 > NU_MAX_LIMIT.
+    def test_first_cutoff_past_the_basis_limit_solves_nothing(self, monkeypatch, capsys):
+        # At mu = 600 the coherent estimate asks for nu_max = 366021, whose
+        # bright block of one atom holds 2 x 366022 states.
         cutoffs = _counting_attempts(monkeypatch)
-        message = "the first cutoff, nu_max=5621, exceeds the largest, 5120: nothing was solved"
+        message = (
+            "no converged cutoff below the basis limit at nu_max=366021: "
+            "basis dimension 732044 exceeds the limit 500000"
+        )
         with pytest.raises(CutoffNotConverged, match=f"^{message}$") as info:
-            fock.converged_ground_states(VParams(mu=70.0, n_atoms=1).to_model_params())
+            fock.converged_ground_states(VParams(mu=600.0, n_atoms=1).to_model_params())
         assert info.value.delta is None
-        assert cli.main(["sweep", "--branch", "exact", "--n-atoms", "1", "--mu", "70"]) == 3
-        assert capsys.readouterr().err == f"numerical failure at mu=70: {message}\n"
+        assert cli.main(["sweep", "--branch", "exact", "--n-atoms", "1", "--mu", "600"]) == 3
+        assert capsys.readouterr().err == f"numerical failure at mu=600: {message}\n"
         assert cutoffs == []
+
+    def test_seed_cutoff_far_inside_the_basis_limit_certifies(self, monkeypatch, capsys):
+        # At mu = 70 the seed nu_max = 5621 gives a 2 x 5622-state bright
+        # block, far inside MAX_DIMENSION, and certifies at once.
+        p = VParams(mu=70.0, n_atoms=1).to_model_params()
+        cutoffs = _counting_attempts(monkeypatch)
+        result = fock.converged_ground_states(p)
+        assert cutoffs == [5621] and result.nu_max == 5621
+        assert result.delta < fock.CERTIFICATE_DELTA
+        assert cli.main(["sweep", "--branch", "exact", "--n-atoms", "1", "--mu", "70"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_exact_energy_at_mu_70_is_at_or_below_coherent(self):
+        p = VParams(mu=70.0, n_atoms=1).to_model_params()
+        exact = fock.converged_ground_states(p).global_ground.energy
+        assert exact <= surface.minimize_surface(p).energy
 
     def test_nonconverged_minimizer_still_gives_a_row(self, monkeypatch, capsys):
         _assert_nonconverged_minimizer_gives_a_row(monkeypatch, capsys, 1.0)

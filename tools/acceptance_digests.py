@@ -8,8 +8,8 @@ the other, and prints per invocation the sha256 of its stdout, the sha256 of
 its stderr, its exit code and its arguments. TREE defaults to the tree that
 holds this script. Two trees print byte-identical output exactly when
 `diff` of their two listings is empty. It is a script, not a test: the
-comparison needs a second tree, and a run starts 40 interpreters (about
-30 s on a 2-core x86-64 VM).
+comparison needs a second tree, and a run starts 43 interpreters (about
+35 s on a 2-core x86-64 VM).
 """
 
 from __future__ import annotations
@@ -66,6 +66,12 @@ INVOCATIONS = (
     "sweep --branch even --mu 7.7e76 --outputs photons,distribution,m",
     "sweep --mu 0:1:3 --branch coherent --out README.md/x.csv",
     "sweep --branch exact --mu 1.5 --theta 0.8 --omega2 0.9 --n-atoms 10",
+    # A strong-coupling seed cutoff (nu_max 6539) whose basis fits, one
+    # whose basis does not (nothing solved), and a serial sweep stopped
+    # at that refusal.
+    "sweep --branch exact --mu 12 --theta 0.8 --n-atoms 40",
+    "sweep --branch exact --n-atoms 1 --mu 600",
+    "sweep --branch exact --n-atoms 1 --mu 600:40:2",
 )
 
 
