@@ -20,13 +20,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import cache, partial
 
 import numpy as np
 
-from . import __version__, checks, fock, sacs, surface, vconfig
+from . import __version__, sacs, surface, vconfig
 from .errors import DegenerateState, TricavityError
 from .model import (
     AtomicConfiguration,
@@ -144,6 +143,7 @@ def _checked_space(
     n_atoms: int, nu_max: int, dark_level: int | None = None
 ) -> fock.TruncatedSpace:
     """The truncated space, with its basis-size limit reported as bad input."""
+    from . import fock
     try:
         return fock.TruncatedSpace(n_atoms, nu_max, dark_level)
     except ValueError as exc:
@@ -177,6 +177,7 @@ def _sacs_columns(params: ModelParams, crit: surface.CriticalPoint, branch: Pari
 
 
 def _exact_columns(params: ModelParams, nu_max: int | None) -> dict:
+    from . import fock
     if nu_max is not None:
         space = fock.TruncatedSpace(params.n_atoms, nu_max, fock.dark_level(params))
         result = fock.ground_states(params, space)
@@ -276,6 +277,8 @@ def cmd_sweep(args) -> int:
         )
     grid_var = swept[0] if swept else "mu"
     approxes = args.branch
+    if "exact" in approxes:
+        from . import fock  # before the pool starts, so that forked workers inherit it
     outputs = args.outputs
     if args.nu_max is not None:
         if "exact" not in approxes:
@@ -301,6 +304,8 @@ def cmd_sweep(args) -> int:
 
     evaluate = partial(_evaluate_point, approxes=approxes, nu_max=args.nu_max)
     rows = []  # rows[k] is the row of points[k], so a failure is at values[len(rows)]
+    if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
         try:
             for row in (pool.map if pool else map)(evaluate, points):
@@ -361,6 +366,7 @@ def cmd_phase_boundary(args) -> int:
 
 
 def cmd_photon_dist(args) -> int:
+    from . import fock
     params, metadata = _single_point(args, "photon-dist")
     approxes = args.branch
     point = surface.minimize_surface(params).as_point()
@@ -404,6 +410,7 @@ def cmd_photon_dist(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import fock
     params, metadata = _single_point(args, "spectrum")
     space = _checked_space(params.n_atoms, args.nu_max)
     rows = []
@@ -418,6 +425,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import checks
     results = checks.run_checks(args.level)
     failed = False
     for res in results:
@@ -584,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     validate.add_argument(
-        "--level", choices=tuple(checks.LEVELS), default="fast", help="effort level"
+        "--level", choices=("fast", "full"), default="fast", help="effort level"
     )
     validate.set_defaults(func=cmd_validate)
     return parser

@@ -26,7 +26,6 @@ import scipy.sparse as sparse
 from scipy.linalg.blas import dsbmv
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
-from scipy.special import gammainc
 
 from . import surface
 from .errors import CutoffNotConverged, NonConvergence, TailTooLarge
@@ -347,6 +346,7 @@ def build_sacs_vector(
     Raises TailTooLarge when the coherent field component leaves more than
     TAIL_FLOOR of its weight above nu_max.
     """
+    from scipy.special import gammainc  # its one user; exact solves never load it
     tail = float(gammainc(space.nu_max + 1, abs(point.alpha) ** 2))
     if tail > TAIL_FLOOR:
         raise TailTooLarge(

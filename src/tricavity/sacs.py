@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import DegenerateState, IndeterminateQ, TricavityError
 from .model import (
@@ -331,6 +330,7 @@ def branch_observables(
 
 def poisson_distribution(mean: float, nus) -> np.ndarray:
     """Poisson probabilities of the photon numbers ``nus`` (delta_0 at mean 0)."""
+    from scipy.special import gammaln, xlogy  # only photon tables pay its import
     return np.exp(xlogy(nus, mean) - gammaln(np.asarray(nus) + 1.0) - mean)
 
 

@@ -5,6 +5,7 @@ process itself (byte determinism across interpreters, ``--jobs`` workers and
 the ``python -m`` entry point) run in a fresh interpreter.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tricavity import cli, fock, sacs, surface
+from tricavity import checks, cli, fock, sacs, surface
 from tricavity.errors import DegenerateState
 from tricavity.model import AtomicConfiguration, ParityBranch
 
@@ -50,6 +51,32 @@ def run_cli_process(*args, expect: int = 0):
     return _check_exit(proc, expect)
 
 
+SCIPY_PROBE = """
+import contextlib, io, sys
+from tricavity import cli
+cli.build_parser()
+argv = {argv!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(argv) if argv else 0
+    except SystemExit as exc:  # --version
+        code = exc.code
+print(code, *sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def scipy_modules_after(argv: list[str]) -> tuple[int, list[str]]:
+    """Exit code and the scipy modules loaded, in a fresh interpreter, by
+    importing the CLI, building its parser and running ``argv`` (if any)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE.format(argv=argv)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    code, *modules = proc.stdout.split()
+    return int(code), modules
+
+
 def parse_csv(text: str):
     lines = text.strip().splitlines()
     meta = [l for l in lines if l.startswith("#")]
@@ -80,8 +107,16 @@ class TestSweep:
         second = run_cli_process(*args).stdout
         assert first == second
 
-    def test_parallel_matches_serial(self):
-        args = ("sweep", "--mu", "0.3:1.2:4", "--branch", "coherent,odd", "--outputs", "energy")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sweep", "--mu", "0.3:1.2:4", "--branch", "coherent,odd", "--outputs", "energy"),
+            # cmd_sweep imports fock before the pool starts, for the workers.
+            ("sweep", "--mu", "1.2:1.6:3", "--branch", "exact", "--n-atoms", "3"),
+        ],
+        ids=["variational", "exact"],
+    )
+    def test_parallel_matches_serial(self, args):
         serial = run_cli_process(*args).stdout
         parallel = run_cli_process(*args, "--jobs", "2").stdout
         assert serial == parallel
@@ -93,6 +128,37 @@ class TestSweep:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
         )
         assert proc.stdout.strip() == "False", proc.stderr[-2000:]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--version"],
+            ["phase-boundary"],
+            ["sweep", "--branch", "coherent,even,odd", "--mu", "0:2:5"],
+            ["sweep", "--branch", "coherent,even,odd", "--mu", "0:2:5", "--rwa"],
+        ],
+        ids=["import", "version", "phase-boundary", "variational-sweep", "variational-sweep-rwa"],
+    )
+    def test_variational_commands_load_no_scipy(self, argv):
+        # The closed forms need numpy alone; fock, checks and the Poisson
+        # terms load scipy in the commands that use them.
+        assert scipy_modules_after(argv) == (0, [])
+
+    def test_exact_sweep_leaves_scipy_special_out(self):
+        code, modules = scipy_modules_after(
+            ["sweep", "--branch", "exact", "--mu", "1.5", "--n-atoms", "4"]
+        )
+        assert code == 0
+        assert "scipy.linalg" in modules  # the probe sees what the solver loads
+        assert "scipy.special" not in modules
+
+    def test_validate_level_choices_are_the_registry_levels(self):
+        subcommands = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        level = next(a for a in subcommands.choices["validate"]._actions if a.dest == "level")
+        assert level.choices == tuple(checks.LEVELS)
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()

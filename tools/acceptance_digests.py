@@ -8,8 +8,8 @@ the other, and prints per invocation the sha256 of its stdout, the sha256 of
 its stderr, its exit code and its arguments. TREE defaults to the tree that
 holds this script. Two trees print byte-identical output exactly when
 `diff` of their two listings is empty. It is a script, not a test: the
-comparison needs a second tree, and a run starts 43 interpreters (about
-35 s on a 2-core x86-64 VM).
+comparison needs a second tree, and a run starts 46 interpreters (about
+20 s on a 2-core x86-64 VM).
 """
 
 from __future__ import annotations
@@ -72,6 +72,11 @@ INVOCATIONS = (
     "sweep --branch exact --mu 12 --theta 0.8 --n-atoms 40",
     "sweep --branch exact --n-atoms 1 --mu 600",
     "sweep --branch exact --n-atoms 1 --mu 600:40:2",
+    # Imports on use: the version line alone, scipy.special for the
+    # Poisson terms, and fock imported before a --jobs pool starts.
+    "--version",
+    "photon-dist --mu 1.5 --branch coherent,even,odd",
+    "sweep --mu 1.2:1.6:3 --branch exact,coherent --n-atoms 3 --jobs 2",
 )
 
 
