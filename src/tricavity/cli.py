@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__, sacs, surface, vconfig
 from .errors import DegenerateState, TricavityError
 from .model import (
+    MAX_DIMENSION,
     AtomicConfiguration,
     ModelParams,
     ParityBranch,
@@ -305,10 +306,11 @@ def cmd_sweep(args) -> int:
     evaluate = partial(_evaluate_point, approxes=approxes, nu_max=args.nu_max)
     rows = []  # rows[k] is the row of points[k], so a failure is at values[len(rows)]
     if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        from multiprocessing import Pool
+    # Leaving the block at a failure terminates the pool: no later point runs on.
+    with Pool(min(args.jobs, len(points))) if args.jobs > 1 else nullcontext() as pool:
         try:
-            for row in (pool.map if pool else map)(evaluate, points):
+            for row in (pool.imap if pool else map)(evaluate, points):
                 rows.append([values[len(rows)], *(row.get(col) for col in columns[1:])])
         except (TricavityError, ValueError, ArithmeticError) as exc:
             value = values[len(rows)]
@@ -366,7 +368,6 @@ def cmd_phase_boundary(args) -> int:
 
 
 def cmd_photon_dist(args) -> int:
-    from . import fock
     params, metadata = _single_point(args, "photon-dist")
     approxes = args.branch
     point = surface.minimize_surface(params).as_point()
@@ -374,9 +375,9 @@ def cmd_photon_dist(args) -> int:
     top = args.nu_max
     if top is None:
         top = int(math.ceil(alpha_sq + 12.0 * math.sqrt(alpha_sq + 1.0) + 25.0))
-        if top >= fock.MAX_DIMENSION:
+        if top >= MAX_DIMENSION:
             raise argparse.ArgumentTypeError(
-                f"the default table runs to nu = {top}, past {fock.MAX_DIMENSION} rows; "
+                f"the default table runs to nu = {top}, past {MAX_DIMENSION} rows; "
                 "--nu-max sets a shorter one"
             )
     if args.fit and top < 3:
@@ -386,6 +387,7 @@ def cmd_photon_dist(args) -> int:
     tables = {}
     for approx in approxes:
         if approx == "exact":
+            from . import fock
             dist = fock.converged_ground_states(params).global_ground.state.photon_distribution()
             tables[approx] = np.pad(dist[: top + 1], (0, max(top + 1 - dist.size, 0)))
         elif approx == "coherent":

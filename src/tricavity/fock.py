@@ -25,11 +25,12 @@ import scipy.linalg
 import scipy.sparse as sparse
 from scipy.linalg.blas import dsbmv
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from . import surface
 from .errors import CutoffNotConverged, NonConvergence, TailTooLarge
 from .model import (
+    MAX_DIMENSION,
     AtomicConfiguration,
     CoherentPoint,
     ModelParams,
@@ -56,9 +57,7 @@ _BANDED_STEPS = 100
 # Acceptable truncated weight of a coherent field state above the cutoff.
 TAIL_FLOOR = 1e-14
 
-# Basis size limit, which also ends the cutoff schedule, and certificate
-# tolerance on |E(nu_max) - E(nu_max - 10)|.
-MAX_DIMENSION = 500_000
+# Certificate tolerance on |E(nu_max) - E(nu_max - 10)|.
 CERTIFICATE_DELTA = 1e-10
 
 
@@ -490,8 +489,9 @@ def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
     by `_banded_ground` for k = 1 if its bandwidth is at most BANDED_WIDTH
     and nu_max / 2, else by Lanczos from a fixed start vector with unequal
     positive entries (a uniform one misses states odd under a level
-    exchange). Each sector is merged by a stable sort on the eigenvalue. On
-    a bright block H is that of the rotated parameters.
+    exchange); a solve that fails raises NonConvergence with the block size.
+    Each sector is merged by a stable sort on the eigenvalue. On a bright
+    block H is that of the rotated parameters.
     """
     if space.dark_level is not None:
         if space.dark_level != dark_level(params):
@@ -518,24 +518,27 @@ def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
         take = np.arange(ends[-1], dtype=ends.dtype) + np.repeat(starts - ends + counts, counts)
         cols, data = place[h.indices[take]], h.data[take]
         rows = np.repeat(np.arange(n, dtype=cols.dtype), counts)
-        if n == 1:
-            vals, vecs = np.array([data.sum()]), np.ones((1, 1))
-        elif n <= DENSE_CUTOFF or 16 * k >= n:
-            dense = np.zeros((n, n))
-            dense[rows, cols] = data
-            vals, vecs = scipy.linalg.eigh(dense, subset_by_index=(0, min(k, n) - 1))
-        elif k == 1 and np.max(rows - cols) <= min(BANDED_WIDTH, space.nu_max // 2):
-            below = rows >= cols
-            offsets = rows[below] - cols[below]
-            band = np.zeros((offsets.max() + 1, n), order="F")
-            band[offsets, cols[below]] = data[below]
-            del take, rows, cols, data, below, offsets  # not alive beside the solve's
-            vals, vecs = _banded_ground(band)
-            del band  # not alive beside the next block's
-        else:
-            v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
-            block = sparse.csr_matrix((data, cols, np.append(0, ends)), shape=(n, n))
-            vals, vecs = eigsh(block, k=k, which="SA", v0=v0)
+        try:
+            if n == 1:
+                vals, vecs = np.array([data.sum()]), np.ones((1, 1))
+            elif n <= DENSE_CUTOFF or 16 * k >= n:
+                dense = np.zeros((n, n))
+                dense[rows, cols] = data
+                vals, vecs = scipy.linalg.eigh(dense, subset_by_index=(0, min(k, n) - 1))
+            elif k == 1 and np.max(rows - cols) <= min(BANDED_WIDTH, space.nu_max // 2):
+                below = rows >= cols
+                offsets = rows[below] - cols[below]
+                band = np.zeros((offsets.max() + 1, n), order="F")
+                band[offsets, cols[below]] = data[below]
+                del take, rows, cols, data, below, offsets  # not alive beside the solve's
+                vals, vecs = _banded_ground(band)
+                del band  # not alive beside the next block's
+            else:
+                v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+                block = sparse.csr_matrix((data, cols, np.append(0, ends)), shape=(n, n))
+                vals, vecs = eigsh(block, k=k, which="SA", v0=v0)
+        except (np.linalg.LinAlgError, ArpackNoConvergence) as exc:
+            raise NonConvergence(f"no eigenpairs of a {n}-state block: {exc}") from exc
         sectors[parity[part[0]]].extend((val, part, vec) for val, vec in zip(vals, vecs.T))
     return h, tuple(sorted(sector, key=lambda entry: entry[0])[:k] for sector in sectors)
 

@@ -50,6 +50,9 @@ _EXCITATION_WEIGHTS = {
     AtomicConfiguration.V: (1, 1),
 }
 
+# Size limit of an exact basis (it ends the cutoff schedule) and of a photon table.
+MAX_DIMENSION = 500_000
+
 
 def excitation_weights(config: AtomicConfiguration) -> tuple[int, int]:
     """Weights (lambda2, lambda3) of A_22 and A_33 in the conserved excitation M."""

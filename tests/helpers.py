@@ -1,8 +1,12 @@
-"""Random-case generators shared by the test modules.
+"""Random-case generators and solver stand-ins shared by the test modules.
 
 ``CONFIGS``, ``random_params`` and ``random_point`` come from the validation
 registry, so the tests and ``tricavity validate`` draw from one copy.
 """
+
+import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from tricavity.checks import CONFIGS, random_params, random_point  # noqa: F401
 from tricavity.sacs import SacsPoint
@@ -19,3 +23,13 @@ def random_sacs_point(rng, config, n_atoms, branch, scale: float = 1.2) -> SacsP
         )
         if abs(sp.kernel) > 1e-8:
             return sp
+
+
+def arpack_gives_up_or_lapack_fails(a, *args, **kwargs):
+    """Stand-in for `eigsh` (sparse input) or `scipy.linalg.eigh` that fails as each does."""
+    if sparse.issparse(a):
+        raise ArpackNoConvergence(
+            "No convergence (0 iterations, 0/1 eigenvectors converged)",
+            np.empty(0), np.empty((a.shape[0], 0)),
+        )
+    raise np.linalg.LinAlgError("LAPACK gave up")

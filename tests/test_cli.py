@@ -12,6 +12,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,8 @@ import pytest
 from tricavity import checks, cli, fock, sacs, surface
 from tricavity.errors import DegenerateState
 from tricavity.model import AtomicConfiguration, ParityBranch
+
+from helpers import arpack_gives_up_or_lapack_fails
 
 CMD = [sys.executable, "-m", "tricavity.cli"]
 
@@ -75,6 +78,31 @@ def scipy_modules_after(argv: list[str]) -> tuple[int, list[str]]:
     assert proc.returncode == 0, proc.stderr[-2000:]
     code, *modules = proc.stdout.split()
     return int(code), modules
+
+
+class FirstPointRuns:
+    """Stand-in for `cli._evaluate_point` on a mu grid from 600 down.
+
+    Every point appends its mu to the file `log`; mu = 600 then runs for
+    real, and any other point sleeps for SLEEP seconds. An instance of a
+    module-level class, so that a --jobs pool can send it to its workers.
+    """
+
+    SLEEP = 60.0
+
+    def __init__(self, log: str):
+        self.log = log
+
+    def __call__(self, params, approxes, nu_max):
+        mu = math.hypot(params.mu12, params.mu13)
+        with open(self.log, "a") as handle:
+            handle.write(f"{mu:.6g}\n")
+        if mu < 599:
+            time.sleep(self.SLEEP)
+        return EVALUATE_POINT(params, approxes, nu_max)
+
+
+EVALUATE_POINT = cli._evaluate_point
 
 
 def parse_csv(text: str):
@@ -144,6 +172,14 @@ class TestSweep:
         # The closed forms need numpy alone; fock, checks and the Poisson
         # terms load scipy in the commands that use them.
         assert scipy_modules_after(argv) == (0, [])
+
+    @pytest.mark.parametrize("branch", ["coherent,even,odd", "exact"])
+    def test_photon_dist_loads_the_solver_only_for_exact(self, branch):
+        code, modules = scipy_modules_after(["photon-dist", "--mu", "1.5", "--branch", branch])
+        assert code == 0
+        # The default table's length is checked against model.MAX_DIMENSION.
+        solver = {"scipy.linalg", "scipy.sparse"}
+        assert solver & set(modules) == (solver if branch == "exact" else set())
 
     def test_exact_sweep_leaves_scipy_special_out(self):
         code, modules = scipy_modules_after(
@@ -369,25 +405,24 @@ class TestSweep:
     def test_two_grids_rejected(self):
         run_cli("sweep", "--mu", "0:1:3", "--theta", "0:1:3", expect=2)
 
-    def test_serial_sweep_stops_at_its_first_failing_point(self, monkeypatch):
-        # mu = 600 is past the basis limit; 40 would certify, and does not run.
-        solve, solves = fock.converged_ground_states, []
-
-        def counted(params):
-            solves.append(params)
-            return solve(params)
-
-        monkeypatch.setattr(fock, "converged_ground_states", counted)
-        args = ("sweep", "--branch", "exact", "--n-atoms", "1", "--mu", "600:40:2")
-        proc = run_cli(*args, expect=3)
-        assert len(solves) == 1
+    def test_serial_sweep_stops_at_its_first_failing_point(self, monkeypatch, tmp_path):
+        # mu = 600 is past the basis limit and fails; every later point logs
+        # itself and sleeps instead of solving. Patched before a --jobs pool
+        # forks, so the workers run the same stand-in.
+        monkeypatch.setattr(cli, "_evaluate_point", FirstPointRuns(str(tmp_path / "started")))
+        args = ("sweep", "--branch", "exact", "--n-atoms", "1", "--mu", "600:40:6")
         line = (
             "numerical failure at mu=600: no converged cutoff below the basis limit at "
             "nu_max=366021: basis dimension 732044 exceeds the limit 500000\n"
         )
-        assert (proc.stdout, proc.stderr) == ("", line)
-        parallel = run_cli_process(*args, "--jobs", "2", expect=3)
-        assert (parallel.stdout, parallel.stderr) == ("", line)
+        for jobs in (1, 2):
+            (tmp_path / "started").write_text("")
+            start = time.monotonic()
+            proc = run_cli(*args, "--jobs", str(jobs), expect=3)
+            assert time.monotonic() - start < FirstPointRuns.SLEEP / 2
+            assert (proc.stdout, proc.stderr) == ("", line)
+            started = (tmp_path / "started").read_text().split()
+            assert "600" in started and len(started) <= (1 if jobs == 1 else jobs + 1)
 
     @pytest.mark.parametrize("name", ["missing/table.csv", ".", "file/table.csv", ""])
     def test_unwritable_out_is_bad_input(self, monkeypatch, tmp_path, name):
@@ -655,6 +690,13 @@ class TestPhotonDist:
 
 
 class TestSpectrumAndValidate:
+    def test_spectrum_whose_lanczos_gives_up_is_a_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(fock, "eigsh", arpack_gives_up_or_lapack_fails)
+        proc = run_cli("spectrum", "--mu", "1", expect=3)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("numerical failure: no eigenpairs of a ")
+        assert proc.stderr.count("\n") == 1 and "ARPACK error -1" in proc.stderr
+
     def test_spectrum_tables_sorted_sector_energies(self):
         proc = run_cli("spectrum", "--mu", "1", "--nu-max", "40", "--k", "3")
         _, header, rows = parse_csv(proc.stdout)

@@ -23,7 +23,7 @@ from tricavity.model import (
 )
 from tricavity.vconfig import VParams
 
-from helpers import CONFIGS, random_params, random_sacs_point
+from helpers import CONFIGS, arpack_gives_up_or_lapack_fails, random_params, random_sacs_point
 
 BRANCHES = (ParityBranch.EVEN, ParityBranch.ODD)
 
@@ -744,6 +744,27 @@ class TestLargeBlockPaths:
             ours, ref = getattr(found, branch), getattr(dense, branch)
             assert abs(ours.energy - ref.energy) < 1e-12
             assert np.abs(ours.state.data - ref.state.data).max() < 1e-12
+
+    @pytest.mark.parametrize("case", ("lanczos-ground", "lanczos-spectrum", "dense"))
+    def test_a_solver_that_gives_up_raises_nonconvergence(self, monkeypatch, case):
+        # The blocks of the test above, sent to Lanczos (a ground past the
+        # band limit, or k = 2 past DENSE_CUTOFF) or to dense eigh, whose
+        # failure must leave the oracle as the package's own error type.
+        p = replace(VParams(mu=1.5, theta=0.8, n_atoms=8).to_model_params(), omega2=0.9)
+        space = fock.TruncatedSpace(8, 60)
+        if case == "dense":
+            monkeypatch.setattr(fock, "DENSE_CUTOFF", 10**6)
+            monkeypatch.setattr(scipy.linalg, "eigh", arpack_gives_up_or_lapack_fails)
+        else:
+            monkeypatch.setattr(fock, "DENSE_CUTOFF", 50)
+            monkeypatch.setattr(fock, "BANDED_WIDTH", 0)
+            monkeypatch.setattr(fock, "eigsh", arpack_gives_up_or_lapack_fails)
+        reason = "LAPACK gave up" if case == "dense" else "ARPACK error -1: No convergence"
+        with pytest.raises(NonConvergence, match=rf"^no eigenpairs of a \d+-state block: {reason}"):
+            if case == "lanczos-spectrum":
+                fock.sector_spectrum(p, space, k=2)
+            else:
+                fock.ground_states(p, space)
 
 
 def _assert_deterministic_and_matches_dense(monkeypatch, p):

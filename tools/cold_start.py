@@ -9,7 +9,7 @@ in odd ones, so that drift of the machine falls on both trees alike. Prints
 per command each tree's median wall time with its quartiles, and in how many
 pairs B was faster. Times include interpreter start. It is a script, not a
 test: its numbers depend on the machine, and at the default K a run starts
-240 interpreters (about 55 s on a 2-core x86-64 VM).
+280 interpreters (about 65 s on a 2-core x86-64 VM).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ COMMANDS = (
     "sweep",
     "validate --level fast",
     "sweep --branch exact --mu 1.5 --n-atoms 4,8",
+    "photon-dist --mu 1.5 --branch coherent,even,odd",
 )
 
 
