@@ -25,7 +25,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 from scipy.linalg.blas import dsbmv
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import surface
 from .errors import CutoffNotConverged, NonConvergence, TailTooLarge
@@ -42,13 +42,13 @@ from .model import (
     symmetric_occupations,
 )
 
-# Size of a block above which its lowest eigenpairs come from the banded
-# ground solver (k = 1) or Lanczos instead of a dense solve.
+# Size of a block above which its lowest eigenpairs come from a banded
+# Cholesky factor or Lanczos instead of a dense solve.
 DENSE_CUTOFF = 256
 
-# Widest band the banded ground solver takes (it holds (w + 1) n floats);
-# a block wider than this or than nu_max / 2, where Lanczos was measured
-# faster, goes to Lanczos.
+# Widest band that is factored (`_banded_ground`, `_banded_spectrum`; it
+# holds (w + 1) n floats); a block wider than this or than nu_max / 2,
+# where Lanczos was measured faster, goes to Lanczos.
 BANDED_WIDTH = 128
 
 # Steps the banded ground solver may take on one block before it gives up.
@@ -477,6 +477,23 @@ def _banded_ground(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raise NonConvergence(f"no certified ground of a {n}-state block in {_BANDED_STEPS} steps")
 
 
+def _banded_spectrum(band: np.ndarray, shift: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs, ascending, of a block in lower band storage (overwritten).
+
+    Lanczos from the fixed start vector on (H - shift I)^-1, applied by one
+    banded Cholesky factor; its eigenvalue theta is shift + 1/theta of H.
+    Below every eigenvalue H - shift I is positive definite, so a
+    factorization that fails (LinAlgError) failed on rounding.
+    """
+    n = band.shape[1]
+    band[0] -= shift
+    factor = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+    solve = functools.partial(scipy.linalg.cho_solve_banded, (factor, True), check_finite=False)
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+    thetas, vecs = eigsh(LinearOperator((n, n), solve, dtype=float), k=k, which="LA", v0=v0)
+    return shift + 1.0 / thetas[::-1], vecs[:, ::-1]
+
+
 def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
     """(H, (even, odd)): per sector the lowest k (eigenvalue, indices, eigenvector on them).
 
@@ -484,10 +501,15 @@ def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
     M under the RWA (the vacuum is a block of its own), else M mod 2; for
     k > 1 the connected component (H stores no zeros), so that a reducible
     spectrum keeps every degenerate copy. A block lies in the sector of its
-    first member. A one-state block is read off the diagonal; one of at most
-    DENSE_CUTOFF states, or k >= 1/16 of it, is solved dense; a larger one
-    by `_banded_ground` for k = 1 if its bandwidth is at most BANDED_WIDTH
-    and nu_max / 2, else by Lanczos from a fixed start vector with unequal
+    first member. Blocks are visited in label order; one whose Gershgorin
+    bound (least diag - (sum |row| - |diag|) of its rows) less the solver
+    floor tau lies above the k-th value its sector has so far is skipped
+    uncut, as none of its eigenvalues can enter the lowest k. A one-state
+    block is read off the diagonal; one of at most DENSE_CUTOFF states, or
+    k >= 1/16 of it, is solved dense; a larger one of bandwidth at most
+    BANDED_WIDTH and nu_max / 2 from its band, by `_banded_ground` for
+    k = 1 and by `_banded_spectrum` shifted to that bound less tau for
+    k > 1; a wider one by Lanczos from a fixed start vector with unequal
     positive entries (a uniform one misses states odd under a level
     exchange); a solve that fails raises NonConvergence with the block size.
     Each sector is merged by a stable sort on the eigenvalue. On a bright
@@ -506,13 +528,24 @@ def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
         labels = m_diagonal(space, params.config) if params.rwa else parity
     members = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
+    firsts = np.cumsum(sizes) - sizes
     place = np.empty(space.dimension, dtype=h.indices.dtype)  # index within the block
-    place[members] = np.arange(space.dimension) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    place[members] = np.arange(space.dimension) - np.repeat(firsts, sizes)
+    sums = np.zeros(h.nnz + 1)  # |entries| and a 0 that an empty last row starts at
+    np.abs(h.data, out=sums[:-1])
+    sums = np.add.reduceat(sums, h.indptr[:-1]) * (np.diff(h.indptr) > 0)
+    diagonal, largest = h.diagonal(), float(np.max(sums, initial=0.0))
+    bounds = np.minimum.reduceat((diagonal + np.abs(diagonal) - sums)[members], firsts)
+    del sums, diagonal
     sectors = ([], [])
-    for part in np.split(members, np.cumsum(sizes)[:-1]):
+    for part, bound in zip(np.split(members, np.cumsum(sizes)[:-1]), bounds):
+        n, sector = part.size, sectors[parity[part[0]]]
+        lowest = bound - _solver_floor(n, largest)  # at or below every eigenvalue
+        if len(sector) == k and lowest > sector[-1][0]:
+            continue
         # H keeps the label, so a member row has all its entries in the block:
         # cut in index order, they are the block's canonical CSR arrays.
-        n, starts = part.size, h.indptr[part]
+        starts = h.indptr[part]
         counts = h.indptr[part + 1] - starts
         ends = np.cumsum(counts, dtype=counts.dtype)
         take = np.arange(ends[-1], dtype=ends.dtype) + np.repeat(starts - ends + counts, counts)
@@ -525,13 +558,13 @@ def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
                 dense = np.zeros((n, n))
                 dense[rows, cols] = data
                 vals, vecs = scipy.linalg.eigh(dense, subset_by_index=(0, min(k, n) - 1))
-            elif k == 1 and np.max(rows - cols) <= min(BANDED_WIDTH, space.nu_max // 2):
+            elif np.max(rows - cols) <= min(BANDED_WIDTH, space.nu_max // 2):
                 below = rows >= cols
                 offsets = rows[below] - cols[below]
                 band = np.zeros((offsets.max() + 1, n), order="F")
                 band[offsets, cols[below]] = data[below]
                 del take, rows, cols, data, below, offsets  # not alive beside the solve's
-                vals, vecs = _banded_ground(band)
+                vals, vecs = _banded_ground(band) if k == 1 else _banded_spectrum(band, lowest, k)
                 del band  # not alive beside the next block's
             else:
                 v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
@@ -539,8 +572,10 @@ def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
                 vals, vecs = eigsh(block, k=k, which="SA", v0=v0)
         except (np.linalg.LinAlgError, ArpackNoConvergence) as exc:
             raise NonConvergence(f"no eigenpairs of a {n}-state block: {exc}") from exc
-        sectors[parity[part[0]]].extend((val, part, vec) for val, vec in zip(vals, vecs.T))
-    return h, tuple(sorted(sector, key=lambda entry: entry[0])[:k] for sector in sectors)
+        sector.extend((val, part, vec) for val, vec in zip(vals, vecs.T))
+        sector.sort(key=lambda entry: entry[0])  # stable: equal values keep block order
+        del sector[k:]
+    return h, sectors
 
 
 def ground_states(params: ModelParams, space: TruncatedSpace) -> GroundStateResult:

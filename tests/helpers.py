@@ -6,7 +6,7 @@ registry, so the tests and ``tricavity validate`` draw from one copy.
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from tricavity.checks import CONFIGS, random_params, random_point  # noqa: F401
 from tricavity.sacs import SacsPoint
@@ -26,8 +26,9 @@ def random_sacs_point(rng, config, n_atoms, branch, scale: float = 1.2) -> SacsP
 
 
 def arpack_gives_up_or_lapack_fails(a, *args, **kwargs):
-    """Stand-in for `eigsh` (sparse input) or `scipy.linalg.eigh` that fails as each does."""
-    if sparse.issparse(a):
+    """Stand-in for `eigsh` (sparse or LinearOperator input) or `scipy.linalg.eigh`
+    that fails as each does."""
+    if sparse.issparse(a) or isinstance(a, LinearOperator):
         raise ArpackNoConvergence(
             "No convergence (0 iterations, 0/1 eigenvectors converged)",
             np.empty(0), np.empty((a.shape[0], 0)),

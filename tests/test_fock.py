@@ -218,6 +218,48 @@ def _same_arrays(a, b) -> bool:
     )
 
 
+def _gershgorin_bound(h, part):
+    """Least diag - (sum |row| - |diag|) over a block's rows, less its solver floor."""
+    block = h[np.ix_(part, part)].toarray()
+    diag = np.diag(block)
+    floor = fock._solver_floor(part.size, abs(h).sum(axis=1).max())
+    return np.min(diag + np.abs(diag) - np.abs(block).sum(axis=1)) - floor
+
+
+def _solved_once_or_screened(h, blocks, parity, inputs, sectors, k) -> int:
+    """Number of blocks solved: each dense input is one whole block, solved once;
+    every other block of two or more states lies above its sector's k-th value
+    by its Gershgorin bound."""
+    slices = [h[np.ix_(part, part)].toarray() for part in blocks]
+    solved = [sum(_same_arrays(a, block) for a in inputs) for block in slices]
+    assert set(solved) <= {0, 1} and sum(solved) == len(inputs)
+    for part, count in zip(blocks, solved):
+        if count == 0 and part.size > 1:
+            assert _gershgorin_bound(h, part) > sectors[parity[part[0]]][k - 1][0]
+    return sum(solved)
+
+
+def _every_block_solved(params, space, k):
+    """Per sector the lowest k (value, part, vector) of every block, each solved dense."""
+    h = fock.build_hamiltonian(params, space)
+    m = fock.m_diagonal(space, params.config)
+    if k > 1:
+        labels = connected_components(h, directed=False)[1]
+    else:
+        labels = m if params.rwa else m % 2
+    sectors = ([], [])
+    for label in np.unique(labels):
+        part = np.flatnonzero(labels == label)
+        block = h[np.ix_(part, part)].toarray()
+        if part.size == 1:
+            vals, vecs = block[0], np.ones((1, 1))
+        else:
+            assert part.size <= fock.DENSE_CUTOFF
+            vals, vecs = scipy.linalg.eigh(block, subset_by_index=(0, min(k, part.size) - 1))
+        sectors[m[part[0]] % 2].extend((val, part, vec) for val, vec in zip(vals, vecs.T))
+    return tuple(sorted(sector, key=lambda entry: entry[0])[:k] for sector in sectors)
+
+
 def _frame_params(config, rwa, frame, n_atoms, mu=1.3, theta=0.7):
     """Default frame (Omega = 1, omega = (0, 1, 1)) or a shifted one."""
     freqs = dict(omega=1.0, omega1=0.0, omega2=1.0, omega3=1.0)
@@ -494,6 +536,9 @@ class TestBlocks:
         # For k = 1 a block is a whole parity sector without the RWA and a
         # whole M block with it, also where the label block is reducible
         # (the N + 1 uncoupled M = 0 states of Lambda at omega2 != omega1).
+        # A block is solved once, as its fancy-index slice, or skipped where
+        # its Gershgorin bound lies above its sector's ground: under the RWA
+        # only the two blocks that hold the grounds are solved.
         p = _frame_params(AtomicConfiguration.LAMBDA, rwa, "shifted", 3, mu=0.4)
         space = fock.TruncatedSpace(3, 20)
         h = fock.build_hamiltonian(p, space)
@@ -501,30 +546,61 @@ class TestBlocks:
         dense = _recorded_inputs(monkeypatch, scipy.linalg, "eigh")
         _, sectors = fock._lowest_eigenpairs(p, space, 1)
         labels = m if rwa else m % 2
-        sizes = np.bincount(labels)
-        assert len(dense) == np.count_nonzero(sizes > 1)
+        blocks = [np.flatnonzero(labels == label) for label in np.unique(labels)]
+        assert _solved_once_or_screened(h, blocks, m % 2, dense, sectors, 1) == 2
+        assert len(blocks) == (24 if rwa else 2)
         for parity, ((_, part, _),) in enumerate(sectors):
             assert np.array_equal(part, np.flatnonzero(labels == labels[part[0]]))
             assert np.all(m[part] % 2 == parity)
             reference = h[np.ix_(part, part)].toarray()
             assert sum(_same_arrays(a, reference) for a in dense) == 1
         if rwa:
-            assert sizes[0] == space.n_atoms + 1 and sectors[0][0][1][0] == 0
+            assert blocks[0].size == space.n_atoms + 1 and sectors[0][0][1][0] == 0
 
     def test_lanczos_blocks_are_the_canonical_slices(self, monkeypatch):
         # Spectra keep the connected components; a block past DENSE_CUTOFF
-        # reaches eigsh as the canonical CSR slice of H.
+        # is factored as the lower band of its canonical slice of H, shifted
+        # below its spectrum to its Gershgorin bound less tau.
         p = VParams(mu=1.0, n_atoms=2).to_model_params()
         space = fock.TruncatedSpace(2, 200)
-        lanczos = _recorded_inputs(monkeypatch, fock, "eigsh")
+        factored, spectrum = [], fock._banded_spectrum
+
+        def recording(band, shift, k):
+            factored.append((band.copy(order="K"), shift))
+            return spectrum(band, shift, k)
+
+        monkeypatch.setattr(fock, "_banded_spectrum", recording)
         fock.sector_spectrum(p, space, k=6)
         h = fock.build_hamiltonian(p, space)
         labels = connected_components(h, directed=False)[1]
         parts = [np.flatnonzero(labels == label) for label in range(labels.max() + 1)]
-        expected = [h[np.ix_(part, part)] for part in parts if part.size > fock.DENSE_CUTOFF]
-        assert len(lanczos) == len(expected) >= 2
-        for block, reference in zip(lanczos, expected):
-            assert reference.has_canonical_format and _same_arrays(block, reference)
+        expected = [part for part in parts if part.size > fock.DENSE_CUTOFF]
+        assert len(factored) == len(expected) >= 2
+        for (band, shift), part in zip(factored, expected):
+            block = h[np.ix_(part, part)].toarray()
+            width = max(o for o in range(part.size) if np.any(np.diag(block, -o)))
+            reference = np.zeros((width + 1, part.size), order="F")
+            for offset in range(width + 1):
+                reference[offset, : part.size - offset] = np.diag(block, -offset)
+            assert band.flags.f_contiguous and _same_arrays(band, reference)
+            assert abs(shift - _gershgorin_bound(h, part)) <= 1e-12 * abs(shift)
+            assert shift < scipy.linalg.eigvalsh(block, subset_by_index=(0, 0))[0]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.value)
+    @pytest.mark.parametrize("rwa", (False, True))
+    def test_skipping_blocks_changes_no_bit(self, config, rwa):
+        # The screen skips only blocks whose eigenvalues cannot enter a
+        # sector's stable-sorted lowest k, so the values, parts and vectors
+        # are those of solving every block (all dense at nu_max = 20).
+        for n_atoms, mu, k in itertools.product((1, 2, 3, 4), (0.0, 0.3, 1.5), (1, 6)):
+            p = _frame_params(config, rwa, "default", n_atoms, mu=mu)
+            space = fock.TruncatedSpace(n_atoms, 20)
+            _, found = fock._lowest_eigenpairs(p, space, k)
+            for ours, reference in zip(found, _every_block_solved(p, space, k)):
+                assert len(ours) == len(reference) == k
+                for (val, part, vec), (ref_val, ref_part, ref_vec) in zip(ours, reference):
+                    assert val == ref_val and np.array_equal(part, ref_part)
+                    assert _same_arrays(vec, ref_vec)
 
     def test_one_hamiltonian_per_call_and_a_graph_search_only_for_spectra(self, monkeypatch):
         calls = {"build_hamiltonian": 0, "connected_components": 0}
@@ -985,45 +1061,43 @@ class TestCertificate:
         assert fock.dark_level(p) is None
         _assert_both_deltas_certify_and_agree(monkeypatch, p, dense_cutoff)
 
-    def test_certificate_solves_only_the_ground_block(self, monkeypatch):
-        # Under the RWA each sector splits into one block per M; the
-        # certificate is a product with the block that holds the sector
-        # ground, so each cutoff solves each block of two or more states
-        # once (one-state blocks are read off the diagonal) and never again.
-        p = _frame_params(AtomicConfiguration.LAMBDA, True, "default", 6, mu=0.4, theta=0.8)
+    @pytest.mark.parametrize(
+        "config, mu, n_atoms",
+        [(AtomicConfiguration.LAMBDA, 0.4, 6), (AtomicConfiguration.XI, 0.35, 10)],
+        ids=("lambda", "xi"),
+    )
+    def test_certificate_solves_only_the_ground_block(self, monkeypatch, config, mu, n_atoms):
+        # Under the RWA each sector splits into one block per M, more than
+        # 30 at these normal-regime points. Only the two blocks that hold
+        # the sector grounds are solved, each once (Xi's vacuum is a
+        # one-state block, read off the diagonal); every other lies above
+        # its sector's ground by its Gershgorin bound and is skipped. The
+        # certificate is a product with the ground block: nothing more runs.
+        p = _frame_params(config, True, "default", n_atoms, mu=mu, theta=0.8)
         assert fock.dark_level(p) is None
-        solves, searches = [], []
-
-        def recorded(module, name, record):
-            original = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                out = original(*args, **kwargs)
-                record(out)
-                return out
-
-            monkeypatch.setattr(module, name, counted)
-
-        recorded(scipy.linalg, "eigh", solves.append)
-        recorded(fock, "eigsh", solves.append)
-        recorded(fock, "_banded_ground", solves.append)
-        recorded(fock, "connected_components", searches.append)
+        dense = _recorded_inputs(monkeypatch, scipy.linalg, "eigh")
+        others = _recorded_inputs(monkeypatch, fock, "eigsh")
+        others += _recorded_inputs(monkeypatch, fock, "_banded_ground")
+        searches = _recorded_inputs(monkeypatch, fock, "connected_components")
         solve, calls = fock._lowest_eigenpairs, []
 
         def recording(params, space, k):
-            before = len(solves)
-            out = solve(params, space, k)
-            sizes = np.bincount(fock.m_diagonal(space, params.config))
-            calls.append((len(solves) - before, np.count_nonzero(sizes > 1), k))
-            return out
+            before = len(dense)
+            h, sectors = solve(params, space, k)
+            m = fock.m_diagonal(space, params.config)
+            blocks = [np.flatnonzero(m == label) for label in np.unique(m)]
+            solved = _solved_once_or_screened(h, blocks, m % 2, dense[before:], sectors, k)
+            one_state = sum(sector[0][1].size == 1 for sector in sectors)
+            calls.append((solved + one_state, len(blocks), k))
+            return h, sectors
 
         monkeypatch.setattr(fock, "_lowest_eigenpairs", recording)
         cutoffs = _counting_attempts(monkeypatch)
         result = fock.converged_ground_states(p)
         assert result.delta < fock.CERTIFICATE_DELTA
-        assert len(calls) == len(cutoffs) and sum(n for n, _, _ in calls) == len(solves)
-        assert all(n == blocks > 2 and k == 1 for n, blocks, k in calls)
-        assert searches == []
+        assert len(calls) == len(cutoffs) and sum(n for n, _, _ in calls) >= len(dense)
+        assert all(n == 2 and blocks > 30 and k == 1 for n, blocks, k in calls)
+        assert others == [] and searches == []
         _assert_both_deltas_certify_and_agree(monkeypatch, p, fock.DENSE_CUTOFF)
 
     def test_ground_block_without_leading_states_is_not_certified(self):

@@ -8,8 +8,8 @@ the other, and prints per invocation the sha256 of its stdout, the sha256 of
 its stderr, its exit code and its arguments. TREE defaults to the tree that
 holds this script. Two trees print byte-identical output exactly when
 `diff` of their two listings is empty. It is a script, not a test: the
-comparison needs a second tree, and a run starts 48 interpreters (about
-25 s on a 2-core x86-64 VM).
+comparison needs a second tree, and a run starts 51 interpreters (about
+30 s on a 2-core x86-64 VM).
 """
 
 from __future__ import annotations
@@ -77,10 +77,16 @@ INVOCATIONS = (
     "--version",
     "photon-dist --mu 1.5 --branch coherent,even,odd",
     "sweep --mu 1.2:1.6:3 --branch exact,coherent --n-atoms 3 --jobs 2",
-    # A Lanczos solve that gives up (exit 3, one line), and a --jobs sweep
-    # stopped at its first failing point as the serial one is.
+    # A clustered weak-coupling spectrum that plain Lanczos gave up on
+    # (exit 3) and shift-invert solves, and a --jobs sweep stopped at its
+    # first failing point as the serial one is.
     "spectrum --mu 0.0001 --n-atoms 3",
     "sweep --branch exact --n-atoms 1 --mu 600:100:6 --jobs 2",
+    # An RWA sweep of many M blocks, most skipped by their Gershgorin bound,
+    # and spectra whose large components are solved by shift-invert.
+    "sweep --branch exact --rwa --atom-config xi --mu 0.35 --n-atoms 2,6,10",
+    "spectrum --mu 1.2 --n-atoms 6 --atom-config lambda",
+    "spectrum --mu 1 --nu-max 200 --n-atoms 6",
 )
 
 
