@@ -390,7 +390,7 @@ def ground_observables(ground: SectorGround, params: ModelParams) -> StateObserv
     space = vec.space
     m, norm = m_operator(space, params.config).diagonal(), vec.norm_squared()
     m_mean = np.vdot(vec.data, m * vec.data).real / norm
-    m_var = np.vdot(vec.data, (m * m) * vec.data).real / norm - m_mean**2
+    m_var = float(np.sum(np.abs(vec.data) ** 2 * (m - m_mean) ** 2)) / norm  # two-pass
     rho = vec.atomic_density_matrix()
     pops = np.array(space.occupations).T @ np.diag(rho).real
     if space.dark_level is not None:
@@ -403,7 +403,7 @@ def ground_observables(ground: SectorGround, params: ModelParams) -> StateObserv
     dist_mean = float(nus @ dist)
     one = OneBodyExpectations(a11, a22, a33, dist_mean)
     entropy = 1.0 - float(np.sum(np.abs(rho) ** 2))
-    dist_var = float(nus**2 @ dist) - dist_mean**2
+    dist_var = float(np.sum(dist * (nus - dist_mean) ** 2))
     return StateObservables(
         ground.energy, one, dist_var, m_mean, m_var, mandel_q(m_mean, m_var), entropy
     )
