@@ -428,17 +428,17 @@ def _solver_floor(n: int, row_sum: float) -> float:
     return math.sqrt(n) * np.finfo(float).eps * row_sum
 
 
-def _banded_ground(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _banded_ground(band: np.ndarray, shift: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Certified lowest eigenpair ([E], x as a column) of a block in lower band storage.
 
     Inverse iteration from the fixed positive start vector, shifted first to
-    the Gershgorin bound less tau, then to the Rayleigh quotient E less
-    max(|Hx - Ex|, tau); a shift that does not factor is bisected towards
-    the last that did. By Sylvester's law of inertia H - sI factors iff no
-    eigenvalue lies at or below s, so once |Hx - Ex| <= tau a factor at
-    E - tau certifies E, connected block or not. Raises NonConvergence after
-    _BANDED_STEPS steps (each one factorization and at most one solve).
-    Overwrites the band, factored in place and refilled for each product.
+    `shift`, the Gershgorin bound less tau (the solver floor of H's largest
+    row sum), then to the Rayleigh quotient E less max(|Hx - Ex|, tau); a
+    shift that does not factor is bisected towards the last that did. As
+    H - sI factors iff no eigenvalue lies at or below s, a factor at E - tau
+    certifies E once |Hx - Ex| <= tau, connected block or not. Raises
+    NonConvergence after _BANDED_STEPS steps (each one factorization and at
+    most one solve). Overwrites the band, factored in place and refilled.
     """
     n, width = band.shape[1], band.shape[0] - 1
     flat = band.ravel(order="K")  # a view: the band is contiguous
@@ -451,11 +451,7 @@ def _banded_ground(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         band[0] -= shift
         return band
 
-    row_sums = dsbmv(width, 1.0, np.abs(band, out=band), np.ones(n), lower=1)
-    tau = _solver_floor(n, float(np.max(row_sums)))
-    diagonal = shifted(0.0)[0]
-    lower = shift = float(np.min(diagonal + np.abs(diagonal) - row_sums)) - tau
-    residual, x = math.inf, np.random.default_rng(0).uniform(0.5, 1.5, n)
+    lower, residual, x = shift, math.inf, np.random.default_rng(0).uniform(0.5, 1.5, n)
     for _ in range(_BANDED_STEPS):
         at = max(shift, lower)  # a shift at or below the last factored one is raised to it
         try:
@@ -502,18 +498,18 @@ def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
     k > 1 the connected component (H stores no zeros), so that a reducible
     spectrum keeps every degenerate copy. A block lies in the sector of its
     first member. Blocks are visited in label order; one whose Gershgorin
-    bound (least diag - (sum |row| - |diag|) of its rows) less the solver
-    floor tau lies above the k-th value its sector has so far is skipped
-    uncut, as none of its eigenvalues can enter the lowest k. A one-state
-    block is read off the diagonal; one of at most DENSE_CUTOFF states, or
-    k >= 1/16 of it, is solved dense; a larger one of bandwidth at most
-    BANDED_WIDTH and nu_max / 2 from its band, by `_banded_ground` for
-    k = 1 and by `_banded_spectrum` shifted to that bound less tau for
-    k > 1; a wider one by Lanczos from a fixed start vector with unequal
-    positive entries (a uniform one misses states odd under a level
-    exchange); a solve that fails raises NonConvergence with the block size.
-    Each sector is merged by a stable sort on the eigenvalue. On a bright
-    block H is that of the rotated parameters.
+    bound (least diag - (sum |row| - |diag|) of its rows) less tau, the
+    solver floor of its size and H's largest sum |row|, lies above the k-th
+    value its sector has so far cannot enter the lowest k and is skipped
+    uncut. A one-state block is read off the diagonal; one of at most
+    DENSE_CUTOFF states, or k >= 1/16 of it, is solved dense; a larger one
+    of bandwidth at most BANDED_WIDTH and nu_max / 2 from its band shifted
+    to that bound less tau, by `_banded_ground` for k = 1 and
+    `_banded_spectrum` for k > 1; a wider one by Lanczos from a fixed start
+    vector with unequal positive entries (a uniform one misses states odd
+    under a level exchange); a solve that fails raises NonConvergence with
+    the block size. Each sector is merged by a stable sort on the
+    eigenvalue. On a bright block H is that of the rotated parameters.
     """
     if space.dark_level is not None:
         if space.dark_level != dark_level(params):
@@ -540,7 +536,7 @@ def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
     sectors = ([], [])
     for part, bound in zip(np.split(members, np.cumsum(sizes)[:-1]), bounds):
         n, sector = part.size, sectors[parity[part[0]]]
-        lowest = bound - _solver_floor(n, largest)  # at or below every eigenvalue
+        lowest = bound - (tau := _solver_floor(n, largest))  # at or below every eigenvalue
         if len(sector) == k and lowest > sector[-1][0]:
             continue
         # H keeps the label, so a member row has all its entries in the block:
@@ -564,7 +560,10 @@ def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
                 band = np.zeros((offsets.max() + 1, n), order="F")
                 band[offsets, cols[below]] = data[below]
                 del take, rows, cols, data, below, offsets  # not alive beside the solve's
-                vals, vecs = _banded_ground(band) if k == 1 else _banded_spectrum(band, lowest, k)
+                if k == 1:
+                    vals, vecs = _banded_ground(band, lowest, tau)
+                else:
+                    vals, vecs = _banded_spectrum(band, lowest, k)
                 del band  # not alive beside the next block's
             else:
                 v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)

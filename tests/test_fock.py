@@ -779,7 +779,7 @@ class TestLargeBlockPaths:
         banded, cholesky = fock._banded_ground, scipy.linalg.cholesky_banded
         seen, failed = {}, []
 
-        def without_lowest(band):
+        def without_lowest(band, shift, tau):
             n = band.shape[1]
             full = np.diag(band[0])
             for offset in range(1, band.shape[0]):
@@ -791,7 +791,7 @@ class TestLargeBlockPaths:
             monkeypatch.setattr(
                 scipy.linalg, "cho_solve_banded", lambda factor, b, **kwargs: second.copy()
             )
-            return banded(band)
+            return banded(band, shift, tau)
 
         def recorded(shifted, **kwargs):
             shift = seen["diagonal"][0] - shifted[0, 0] if seen else None
@@ -811,6 +811,31 @@ class TestLargeBlockPaths:
         lowest, second = seen["values"]
         assert second - lowest > 0.1
         assert abs(failed[0] - second) < 1e-9 and all(shift > lowest for shift in failed)
+
+    def test_banded_ground_takes_the_screens_bound_and_floor(self, monkeypatch):
+        # Both sectors are banded. Each solve starts at its block's Gershgorin
+        # bound less tau and certifies against tau, the solver floor of H's
+        # largest row sum (1.2% above the even block's own), as the screen
+        # and the shift-invert spectra do.
+        p = replace(VParams(mu=1.5, theta=0.8, n_atoms=8).to_model_params(), omega2=0.9)
+        space = fock.TruncatedSpace(8, 60)
+        h = fock.build_hamiltonian(p, space)
+        largest = abs(h).sum(axis=1).max()
+        solve, inputs = fock._banded_ground, []
+
+        def recording(band, shift, tau):
+            inputs.append((shift, tau))
+            return solve(band, shift, tau)
+
+        monkeypatch.setattr(fock, "DENSE_CUTOFF", 50)
+        monkeypatch.setattr(fock, "_banded_ground", recording)
+        fock.ground_states(p, space)
+        parts = fock.parity_sectors(space, p.config)
+        assert len(inputs) == len(parts) == 2
+        for (shift, tau), part in zip(inputs, parts):
+            floor = fock._solver_floor(part.size, largest)
+            assert abs(tau - floor) <= 1e-12 * floor
+            assert abs(shift - _gershgorin_bound(h, part)) <= 1e-12 * abs(shift)
 
     @pytest.mark.parametrize("case", ("banded", "past-the-limit", "past-half-nu-max"))
     def test_ground_block_past_the_band_limit_goes_to_lanczos(self, monkeypatch, case):
