@@ -9,8 +9,8 @@ spectrum        lowest eigenvalues of the truncated-space Hamiltonian
 validate        run the cross-validation registry
 
 Output is CSV with '#'-prefixed metadata (or a JSON mirror via --format):
-deterministic byte for byte for fixed flags. Exit codes: 0 ok, 1 validation
-failure, 2 bad input, 3 numerical failure.
+deterministic byte for byte for fixed flags, build and BLAS thread count.
+Exit codes: 0 ok, 1 validation failure, 2 bad input, 3 numerical failure.
 """
 
 from __future__ import annotations

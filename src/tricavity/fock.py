@@ -246,9 +246,7 @@ def m_operator(space: TruncatedSpace, config: AtomicConfiguration) -> sparse.csr
     return _csr(space.dimension, [_diagonal(m_diagonal(space, config).astype(float))])
 
 
-def parity_operator(
-    space: TruncatedSpace, config: AtomicConfiguration
-) -> sparse.csr_matrix:
+def parity_operator(space: TruncatedSpace, config: AtomicConfiguration) -> sparse.csr_matrix:
     signs = 1.0 - 2.0 * (m_diagonal(space, config) % 2)
     return _csr(space.dimension, [_diagonal(signs)])
 
@@ -411,12 +409,13 @@ def ground_observables(ground: SectorGround, params: ModelParams) -> StateObserv
 
 @dataclass
 class GroundStateResult:
-    """Both sector ground states at one cutoff, and its certificate delta (see `ground_states`)."""
+    """Both sector ground states at one cutoff, its delta and floor (see `ground_states`)."""
 
     even: SectorGround
     odd: SectorGround
     nu_max: int
     delta: float
+    floor: float
 
     @property
     def global_ground(self) -> SectorGround:
@@ -424,8 +423,8 @@ class GroundStateResult:
 
 
 def _solver_floor(n: int, row_sum: float) -> float:
-    """tau = sqrt(n) eps G of an n-state block whose largest Gershgorin row sum is G."""
-    return math.sqrt(n) * np.finfo(float).eps * row_sum
+    """tau = sqrt(n) eps G of an n-state block of H, G the largest Gershgorin row sum of H."""
+    return math.sqrt(n) * float(np.finfo(float).eps) * row_sum
 
 
 def _banded_ground(band: np.ndarray, shift: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -491,7 +490,7 @@ def _banded_spectrum(band: np.ndarray, shift: float, k: int) -> tuple[np.ndarray
 
 
 def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
-    """(H, (even, odd)): per sector the lowest k (eigenvalue, indices, eigenvector on them).
+    """(H, G, (even, odd)): per sector the lowest k (eigenvalue, indices, eigenvector on them).
 
     H is built once and cut into blocks by a label it conserves: for k = 1,
     M under the RWA (the vacuum is a block of its own), else M mod 2; for
@@ -499,12 +498,12 @@ def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
     spectrum keeps every degenerate copy. A block lies in the sector of its
     first member. Blocks are visited in label order; one whose Gershgorin
     bound (least diag - (sum |row| - |diag|) of its rows) less tau, the
-    solver floor of its size and H's largest sum |row|, lies above the k-th
-    value its sector has so far cannot enter the lowest k and is skipped
-    uncut. A one-state block is read off the diagonal; one of at most
-    DENSE_CUTOFF states, or k >= 1/16 of it, is solved dense; a larger one
-    of bandwidth at most BANDED_WIDTH and nu_max / 2 from its band shifted
-    to that bound less tau, by `_banded_ground` for k = 1 and
+    solver floor of its size and G, H's largest sum |row|, lies above the
+    k-th value its sector has so far cannot enter the lowest k and is
+    skipped uncut. A one-state block is read off the diagonal; one of at
+    most DENSE_CUTOFF states, or k >= 1/16 of it, is solved dense; a larger
+    one of bandwidth at most BANDED_WIDTH and nu_max / 2 from its band
+    shifted to that bound less tau, by `_banded_ground` for k = 1 and
     `_banded_spectrum` for k > 1; a wider one by Lanczos from a fixed start
     vector with unequal positive entries (a uniform one misses states odd
     under a level exchange); a solve that fails raises NonConvergence with
@@ -574,7 +573,7 @@ def _lowest_eigenpairs(params: ModelParams, space: TruncatedSpace, k: int):
         sector.extend((val, part, vec) for val, vec in zip(vals, vecs.T))
         sector.sort(key=lambda entry: entry[0])  # stable: equal values keep block order
         del sector[k:]
-    return h, sectors
+    return h, largest, sectors
 
 
 def ground_states(params: ModelParams, space: TruncatedSpace) -> GroundStateResult:
@@ -590,11 +589,12 @@ def ground_states(params: ModelParams, space: TruncatedSpace) -> GroundStateResu
     `converged_ground_states` judges it. The quotient is at least the
     lowest eigenvalue of the nu <= nu_max - 10 states of that block, and so
     of the whole nu_max - 10 sector: this delta is never below the distance
-    from E to either.
+    from E to either. The floor is the smaller solver floor tau of the two
+    ground blocks (see `_lowest_eigenpairs`), the rounding E may carry.
     """
     leading = (space.nu_max - 9) * space.atomic_dimension
     grounds, deltas = [], []
-    h, sectors = _lowest_eigenpairs(params, space, 1)
+    h, largest, sectors = _lowest_eigenpairs(params, space, 1)
     for branch, ((energy, part, vec),) in zip(ParityBranch, sectors):
         pivot = vec[np.argmax(np.abs(vec))]  # the phase makes the largest entry positive
         data = np.zeros(space.dimension, dtype=complex)
@@ -604,11 +604,12 @@ def ground_states(params: ModelParams, space: TruncatedSpace) -> GroundStateResu
         norm = x @ x
         image = h @ np.bincount(part, x, space.dimension)  # H keeps the block: its product
         deltas.append(abs(x @ image[part] / norm - energy) if norm else math.inf)
-    return GroundStateResult(*grounds, space.nu_max, float(max(deltas)))
+    floor = _solver_floor(min(sector[0][1].size for sector in sectors), largest)
+    return GroundStateResult(*grounds, space.nu_max, float(max(deltas)), floor)
 
 
 def converged_ground_states(params: ModelParams) -> GroundStateResult:
-    """Double the cutoff from the coherent estimate until delta < CERTIFICATE_DELTA.
+    """Double the cutoff from the coherent estimate until delta < max(CERTIFICATE_DELTA, floor).
 
     The solve runs on the bright block where the frame has a dark level,
     else on the full space. The first cutoff is suggested_nu_max at the
@@ -634,7 +635,7 @@ def converged_ground_states(params: ModelParams) -> GroundStateResult:
                 delta=delta,
             ) from exc
         result = ground_states(params, space)
-        if result.delta < CERTIFICATE_DELTA:
+        if result.delta < max(CERTIFICATE_DELTA, result.floor):
             return result
         nu_max, delta = 2 * nu_max, result.delta
 
@@ -643,7 +644,7 @@ def sector_spectrum(
     params: ModelParams, space: TruncatedSpace, k: int = 6
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenvalues of the even and of the odd sector, from one H build."""
-    _, sectors = _lowest_eigenpairs(params, space, k)
+    _, _, sectors = _lowest_eigenpairs(params, space, k)
     return tuple(np.array([entry[0] for entry in sector]) for sector in sectors)
 
 

@@ -572,6 +572,19 @@ class TestConfigFile:
         _, header, rows = parse_csv(proc.stdout)
         assert float(rows[0][0]) == 1.2
 
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path):
+        plain = tmp_path / "plain.cfg"
+        plain.write_text("mu = 0.7\nbranch = coherent,even\n")
+        commented = tmp_path / "commented.cfg"
+        commented.write_text(
+            "# one coupling, two branches\n\nmu = 0.7  # below the boundary\n   \n#\n"
+            "branch = coherent,even\n"
+        )
+        plain_out, commented_out = (
+            run_cli("sweep", "--config", str(cfg)).stdout for cfg in (plain, commented)
+        )
+        assert plain_out and commented_out == plain_out
+
     def test_config_na_counts_as_given(self, tmp_path):
         cfg = tmp_path / "na.cfg"
         cfg.write_text("na = X\n")

@@ -461,7 +461,7 @@ class TestBrightBlock:
             n_dark = np.array(space.occupations)[:, dark - 1]
             bright = fock.ground_states(p, fock.TruncatedSpace(n, 24, dark))
             # With k the whole dimension, every eigenvalue of every block is listed.
-            _, sectors = fock._lowest_eigenpairs(rotated, space, space.dimension)
+            _, _, sectors = fock._lowest_eigenpairs(rotated, space, space.dimension)
             for sector, ground in zip(sectors, (bright.even, bright.odd)):
                 lowest = {}
                 for energy, part, _ in sector:
@@ -509,7 +509,7 @@ class TestBlocks:
         dense = _recorded_inputs(monkeypatch, scipy.linalg, "eigh")
         # With k the whole dimension, every connected block appears, once per
         # eigenvalue, and is solved dense (one-state blocks off the diagonal).
-        _, sectors = fock._lowest_eigenpairs(p, space, space.dimension)
+        _, _, sectors = fock._lowest_eigenpairs(p, space, space.dimension)
         sectors = [{part[0]: part for _, part, _ in entries}.values() for entries in sectors]
         assert sum(map(len, sectors)) > 2
         members = []
@@ -544,7 +544,7 @@ class TestBlocks:
         h = fock.build_hamiltonian(p, space)
         m = fock.m_diagonal(space, p.config)
         dense = _recorded_inputs(monkeypatch, scipy.linalg, "eigh")
-        _, sectors = fock._lowest_eigenpairs(p, space, 1)
+        _, _, sectors = fock._lowest_eigenpairs(p, space, 1)
         labels = m if rwa else m % 2
         blocks = [np.flatnonzero(labels == label) for label in np.unique(labels)]
         assert _solved_once_or_screened(h, blocks, m % 2, dense, sectors, 1) == 2
@@ -595,7 +595,7 @@ class TestBlocks:
         for n_atoms, mu, k in itertools.product((1, 2, 3, 4), (0.0, 0.3, 1.5), (1, 6)):
             p = _frame_params(config, rwa, "default", n_atoms, mu=mu)
             space = fock.TruncatedSpace(n_atoms, 20)
-            _, found = fock._lowest_eigenpairs(p, space, k)
+            _, _, found = fock._lowest_eigenpairs(p, space, k)
             for ours, reference in zip(found, _every_block_solved(p, space, k)):
                 assert len(ours) == len(reference) == k
                 for (val, part, vec), (ref_val, ref_part, ref_vec) in zip(ours, reference):
@@ -980,16 +980,17 @@ class TestCutoffSchedule:
         _assert_doubles_from_a_low_estimate(monkeypatch, p)
 
     def test_gives_up_at_the_basis_limit(self, monkeypatch, capsys):
-        # No certificate holds, so the schedule doubles 39 -> 78 and stops
-        # before the 3 x 157-state basis of 156 passes MAX_DIMENSION,
-        # carrying the delta of the last attempt.
+        # No certificate holds (the tolerance and the solver floor are both
+        # zero), so the schedule doubles 39 -> 78 and stops before the
+        # 3 x 157-state basis of 156 passes MAX_DIMENSION, carrying the
+        # delta of the last attempt.
         monkeypatch.setattr(fock, "CERTIFICATE_DELTA", 0.0)
         monkeypatch.setattr(fock, "MAX_DIMENSION", 300)
         deltas = {}
         solve = fock.ground_states
 
         def recorded(params, space, *args, **kwargs):
-            result = solve(params, space, *args, **kwargs)
+            result = replace(solve(params, space, *args, **kwargs), floor=0.0)
             deltas[space.nu_max] = result.delta
             return result
 
@@ -1030,6 +1031,16 @@ class TestCutoffSchedule:
         assert result.delta < fock.CERTIFICATE_DELTA
         assert cli.main(["sweep", "--branch", "exact", "--n-atoms", "1", "--mu", "70"]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_rounding_at_the_basis_edge_certifies_below_the_solver_floor(self, monkeypatch):
+        # At mu = 490 the seed nu_max = 245021 gives a 2 x 245022-state
+        # bright block, and |E| = 2.4e5 puts delta (1.2e-10, a few ulp of E)
+        # above CERTIFICATE_DELTA; doubling would pass MAX_DIMENSION. The
+        # solver floor of the ground blocks (8e-8) certifies it at once.
+        cutoffs = _counting_attempts(monkeypatch)
+        result = fock.converged_ground_states(VParams(mu=490.0, n_atoms=1).to_model_params())
+        assert cutoffs == [245021] and result.nu_max == 245021
+        assert fock.CERTIFICATE_DELTA <= result.delta < result.floor
 
     def test_exact_energy_at_mu_70_is_at_or_below_coherent(self):
         p = VParams(mu=70.0, n_atoms=1).to_model_params()
@@ -1126,13 +1137,13 @@ class TestCertificate:
 
         def recording(params, space, k):
             before = len(dense)
-            h, sectors = solve(params, space, k)
+            h, largest, sectors = solve(params, space, k)
             m = fock.m_diagonal(space, params.config)
             blocks = [np.flatnonzero(m == label) for label in np.unique(m)]
             solved = _solved_once_or_screened(h, blocks, m % 2, dense[before:], sectors, k)
             one_state = sum(sector[0][1].size == 1 for sector in sectors)
             calls.append((solved + one_state, len(blocks), k))
-            return h, sectors
+            return h, largest, sectors
 
         monkeypatch.setattr(fock, "_lowest_eigenpairs", recording)
         cutoffs = _counting_attempts(monkeypatch)

@@ -8,8 +8,8 @@ the other, and prints per invocation the sha256 of its stdout, the sha256 of
 its stderr, its exit code and its arguments. TREE defaults to the tree that
 holds this script. Two trees print byte-identical output exactly when
 `diff` of their two listings is empty. It is a script, not a test: the
-comparison needs a second tree, and a run starts 51 interpreters (about
-30 s on a 2-core x86-64 VM).
+comparison needs a second tree, and a run starts 54 interpreters (about
+35 s on a 2-core x86-64 VM).
 """
 
 from __future__ import annotations
@@ -87,6 +87,12 @@ INVOCATIONS = (
     "sweep --branch exact --rwa --atom-config xi --mu 0.35 --n-atoms 2,6,10",
     "spectrum --mu 1.2 --n-atoms 6 --atom-config lambda",
     "spectrum --mu 1 --nu-max 200 --n-atoms 6",
+    # Plain Lanczos: ground sectors of band 131 > fock.BANDED_WIDTH, and
+    # spectrum components wider than nu_max / 2. A seed cutoff at the basis
+    # edge whose delta (a few ulp of E) is certified by the solver floor.
+    "sweep --branch exact --mu 1.5 --theta 0.8 --omega2 0.9 --n-atoms 20",
+    "spectrum --mu 1 --n-atoms 14 --nu-max 40",
+    "sweep --branch exact --n-atoms 1 --mu 490",
 )
 
 
