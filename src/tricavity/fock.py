@@ -246,7 +246,9 @@ def m_operator(space: TruncatedSpace, config: AtomicConfiguration) -> sparse.csr
     return _csr(space.dimension, [_diagonal(m_diagonal(space, config).astype(float))])
 
 
-def parity_operator(space: TruncatedSpace, config: AtomicConfiguration) -> sparse.csr_matrix:
+def parity_operator(
+    space: TruncatedSpace, config: AtomicConfiguration
+) -> sparse.csr_matrix:
     signs = 1.0 - 2.0 * (m_diagonal(space, config) % 2)
     return _csr(space.dimension, [_diagonal(signs)])
 
@@ -436,8 +438,7 @@ def _banded_ground(band: np.ndarray, shift: float, tau: float) -> tuple[np.ndarr
     shift that does not factor is bisected towards the last that did. As
     H - sI factors iff no eigenvalue lies at or below s, a factor at E - tau
     certifies E once |Hx - Ex| <= tau, connected block or not. Raises
-    NonConvergence after _BANDED_STEPS steps (each one factorization and at
-    most one solve). Overwrites the band, factored in place and refilled.
+    NonConvergence after _BANDED_STEPS steps. Overwrites the band.
     """
     n, width = band.shape[1], band.shape[0] - 1
     flat = band.ravel(order="K")  # a view: the band is contiguous
@@ -589,8 +590,7 @@ def ground_states(params: ModelParams, space: TruncatedSpace) -> GroundStateResu
     `converged_ground_states` judges it. The quotient is at least the
     lowest eigenvalue of the nu <= nu_max - 10 states of that block, and so
     of the whole nu_max - 10 sector: this delta is never below the distance
-    from E to either. The floor is the smaller solver floor tau of the two
-    ground blocks (see `_lowest_eigenpairs`), the rounding E may carry.
+    from E to either. floor: the smaller ground block's solver floor tau.
     """
     leading = (space.nu_max - 9) * space.atomic_dimension
     grounds, deltas = [], []
