@@ -57,7 +57,7 @@ _BANDED_STEPS = 100
 # Acceptable truncated weight of a coherent field state above the cutoff.
 TAIL_FLOOR = 1e-14
 
-# Certificate tolerance on |E(nu_max) - E(nu_max - 10)|.
+# Certificate tolerance on delta (see `ground_states`), or the solver floor if larger.
 CERTIFICATE_DELTA = 1e-10
 
 

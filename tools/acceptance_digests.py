@@ -9,7 +9,7 @@ its stderr, its exit code and its arguments. TREE defaults to the tree that
 holds this script. Two trees print byte-identical output exactly when
 `diff` of their two listings is empty. It is a script, not a test: the
 comparison needs a second tree, and a run starts 54 interpreters (about
-35 s on a 2-core x86-64 VM).
+25 s on a 2-core x86-64 VM).
 """
 
 from __future__ import annotations
