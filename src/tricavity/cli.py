@@ -9,7 +9,9 @@ spectrum        lowest eigenvalues of the truncated-space Hamiltonian
 validate        run the cross-validation registry
 
 Output is CSV with '#'-prefixed metadata (or a JSON mirror via --format):
-deterministic byte for byte for fixed flags, build and BLAS thread count.
+deterministic byte for byte for fixed flags and numpy/scipy build. The exact
+solver sets OpenBLAS to one thread (README); with another BLAS the thread
+count must be fixed too.
 Exit codes: 0 ok, 1 validation failure, 2 bad input, 3 numerical failure.
 """
 

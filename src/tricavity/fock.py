@@ -16,6 +16,7 @@ on the block without dark atoms (see `dark_level`).
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -59,6 +60,42 @@ TAIL_FLOOR = 1e-14
 
 # Certificate tolerance on delta (see `ground_states`), or the solver floor if larger.
 CERTIFICATE_DELTA = 1e-10
+
+
+def _pin_openblas() -> None:
+    """Set every OpenBLAS loaded into this process to one thread.
+
+    The exact path makes many small LAPACK, BLAS and ARPACK calls, which
+    threads slow down (README) and whose threaded reductions round
+    differently at each thread count. numpy's ILP64 and scipy's LP64
+    OpenBLAS are separate pools, so both are set. Without /proc, or with
+    another BLAS, nothing is done.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            # The sixth field is the path, which may hold spaces.
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a library deleted since it was loaded
+            continue
+        for symbol in (
+            "scipy_openblas_set_num_threads64_",
+            "scipy_openblas_set_num_threads",
+            "openblas_set_num_threads64_",
+            "openblas_set_num_threads",
+        ):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+_pin_openblas()
 
 
 # Per scheme: the coupled pair (p, q) whose degeneracy makes a dark state,

@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -48,10 +49,10 @@ def run_cli(*args, expect: int = 0):
     return _check_exit(proc, expect)
 
 
-def run_cli_process(*args, expect: int = 0):
+def run_cli_process(*args, expect: int = 0, env: dict[str, str] | None = None):
     """The same command in a fresh ``python -m tricavity.cli`` interpreter."""
     proc = subprocess.run(
-        CMD + list(args), capture_output=True, text=True, timeout=300
+        CMD + list(args), capture_output=True, text=True, timeout=300, env=env
     )
     return _check_exit(proc, expect)
 
@@ -80,6 +81,37 @@ def scipy_modules_after(argv: list[str]) -> tuple[int, list[str]]:
     assert proc.returncode == 0, proc.stderr[-2000:]
     code, *modules = proc.stdout.split()
     return int(code), modules
+
+
+def env_with_threads(threads: dict[str, str]) -> dict[str, str]:
+    """This environment with its BLAS thread variables replaced by `threads`."""
+    unset = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+    return {**{k: v for k, v in os.environ.items() if k not in unset}, **threads}
+
+
+OPENBLAS_THREADS_PROBE = """
+import ctypes, json, os
+import tricavity.fock
+paths = set()
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as maps:
+        paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+threads = {}
+for path in sorted(paths):
+    lib = ctypes.CDLL(path)
+    for symbol in (
+        "scipy_openblas_get_num_threads64_",
+        "scipy_openblas_get_num_threads",
+        "openblas_get_num_threads64_",
+        "openblas_get_num_threads",
+    ):
+        getter = getattr(lib, symbol, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            threads[os.path.basename(path)] = getter()
+            break
+print(json.dumps(threads))
+"""
 
 
 class FirstPointRuns:
@@ -150,6 +182,28 @@ class TestSweep:
         serial = run_cli_process(*args).stdout
         parallel = run_cli_process(*args, "--jobs", "2").stdout
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs", [(), ("--jobs", "2")], ids=["serial", "jobs-2"])
+    def test_exact_bytes_do_not_depend_on_the_blas_thread_count(self, jobs):
+        # Every block of this sweep is on the banded solver; with OpenBLAS at
+        # two threads, 3 of its 5 rows printed other last digits.
+        args = ("sweep", "--branch", "exact", "--mu", "1:3:5", "--theta", "0.8", "--n-atoms", "40")
+        one, two = (
+            run_cli_process(*args, *jobs, env=env_with_threads(threads)).stdout
+            for threads in ({"OMP_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})
+        )
+        assert one == two
+
+    def test_the_exact_solver_sets_every_openblas_to_one_thread(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", OPENBLAS_THREADS_PROBE], capture_output=True, text=True,
+            timeout=300, env=env_with_threads({"OPENBLAS_NUM_THREADS": "2"}),
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        threads = json.loads(proc.stdout)
+        if not threads:
+            pytest.skip("no OpenBLAS with a thread-count getter is loaded")
+        assert threads == dict.fromkeys(threads, 1)
 
     def test_import_leaves_scipy_optimize_out(self):
         # Only `photon-dist --fit` needs scipy.optimize; it imports it there.

@@ -7,9 +7,13 @@ interpreter, with `PYTHONPATH=TREE/src` and `OMP_NUM_THREADS=1`, one after
 the other, and prints per invocation the sha256 of its stdout, the sha256 of
 its stderr, its exit code and its arguments. TREE defaults to the tree that
 holds this script. Two trees print byte-identical output exactly when
-`diff` of their two listings is empty. It is a script, not a test: the
-comparison needs a second tree, and a run starts 54 interpreters (about
-25 s on a 2-core x86-64 VM).
+`diff` of their two listings is empty.
+
+Each invocation runs a second time with the thread variables unset and
+`OPENBLAS_NUM_THREADS=2`; where its line differs from the one-thread line,
+it is written to stderr and the script exits 1. It is a script, not a test:
+the comparison needs a second tree, and a run starts 108 interpreters
+(about 55 s on a 2-core x86-64 VM).
 """
 
 from __future__ import annotations
@@ -96,8 +100,14 @@ INVOCATIONS = (
 )
 
 
-def digest(tree: Path, args: str) -> str:
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1"}
+# The one-thread run and the default-thread run of each invocation.
+THREADS = ({"OMP_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})
+
+
+def digest(tree: Path, args: str, threads: dict[str, str]) -> str:
+    unset = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env.update(threads, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "tricavity.cli", *args.split()],
         capture_output=True, cwd=tree, env=env, check=False,
@@ -106,11 +116,17 @@ def digest(tree: Path, args: str) -> str:
     return f"{out} {err} {proc.returncode} {args}"
 
 
-def main() -> None:
+def main() -> int:
     tree = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent).resolve()
+    status = 0
     for args in INVOCATIONS:
-        print(digest(tree, args), flush=True)
+        one, two = (digest(tree, args, threads) for threads in THREADS)
+        print(one, flush=True)
+        if two != one:
+            print(f"differs at 2 threads: {two}", file=sys.stderr, flush=True)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
